@@ -356,7 +356,8 @@ class Gateway:
         """Admit, waiting for queue capacity instead of rejecting —
         recovery must never drop a stored job on the floor. Returns
         ``None`` only when the gateway is shutting down."""
-        unique_count = len({p.key for p in points})
+        keys = [p.key for p in points]
+        unique_count = len(set(keys))
         while True:
             if self._shutting_down:
                 return None
@@ -365,7 +366,7 @@ class Gateway:
                 await asyncio.sleep(0.05)
                 continue
             job, unique = self.core.create_job(points, priority, owner,
-                                               job_id=job_id)
+                                               job_id=job_id, keys=keys)
             try:
                 self.core.admit(job, unique)
                 return job
@@ -756,7 +757,8 @@ class Gateway:
                 tenant, "quota-jobs", 429, "quota-jobs",
                 f"tenant {tenant.name!r} already has {active} unfinished "
                 f"job(s) (limit {tenant.max_jobs})")
-        unique_count = len({p.key for p in points})
+        keys = [p.key for p in points]
+        unique_count = len(set(keys))
         in_flight = self.core.active_points(owner=tenant.owner)
         if in_flight + unique_count > tenant.max_points:
             raise self._reject(
@@ -769,11 +771,12 @@ class Gateway:
                           if key in body and body[key] is not None}
         pk = self.store.create_job(
             stored_request, priority, tenant.stored_tenant,
-            [(p.key, p.name, p.workload, p.seed) for p in points])
+            [(key, p.name, p.workload, p.seed)
+             for key, p in zip(keys, points)])
         with log_context(job=f"g{pk}", tenant=tenant.name):
             job, unique = self.core.create_job(points, priority,
                                                tenant.owner,
-                                               job_id=f"g{pk}")
+                                               job_id=f"g{pk}", keys=keys)
             try:
                 self.core.admit(job, unique)
             except q.QueueFullError as exc:

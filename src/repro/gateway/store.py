@@ -307,35 +307,44 @@ class JobStore:
     # -- results -------------------------------------------------------------
 
     def record_results(self, payloads: Dict[str, Dict[str, Any]]) -> None:
-        """Upsert result payloads by content hash (idempotent — two jobs
-        resolving the same point write the same canonical bytes)."""
+        """Store result payloads by content hash. Rows are immutable (a
+        key always names the same canonical bytes), so only keys not yet
+        stored are written, and a replay of stored results writes and
+        commits nothing."""
         if not payloads:
             return
         now = time.time()
         with self._lock:
+            stored = {row[0] for row in self._result_rows("point_key",
+                                                          list(payloads))}
+            rows = [(key, canonical_json(payload), now)
+                    for key, payload in payloads.items()
+                    if key not in stored]
+            if not rows:
+                return
             self._conn.executemany(
-                "INSERT OR REPLACE INTO results "
-                "(point_key, payload, created_at) VALUES (?, ?, ?)",
-                [(key, canonical_json(payload), now)
-                 for key, payload in payloads.items()])
+                "INSERT OR IGNORE INTO results "
+                "(point_key, payload, created_at) VALUES (?, ?, ?)", rows)
             self._conn.commit()
 
     def result_payloads(self, keys: Sequence[str]
                         ) -> Dict[str, Dict[str, Any]]:
         """Stored payloads for the given content hashes (missing keys
         are simply absent — callers fall back to the run cache)."""
-        out: Dict[str, Dict[str, Any]] = {}
-        unique = list(dict.fromkeys(keys))
         with self._lock:
-            for i in range(0, len(unique), 500):
-                chunk = unique[i:i + 500]
-                marks = ",".join("?" * len(chunk))
-                rows = self._conn.execute(
-                    f"SELECT point_key, payload FROM results "
-                    f"WHERE point_key IN ({marks})", chunk).fetchall()
-                for row in rows:
-                    out[row["point_key"]] = json.loads(row["payload"])
-        return out
+            return {row["point_key"]: json.loads(row["payload"])
+                    for row in self._result_rows(
+                        "point_key, payload", list(dict.fromkeys(keys)))}
+
+    def _result_rows(self, columns: str, keys: List[str]):
+        """``results`` rows whose key is in ``keys``, queried in chunks
+        under SQLite's bound-parameter limit (caller holds the lock)."""
+        for i in range(0, len(keys), 500):
+            chunk = keys[i:i + 500]
+            marks = ",".join("?" * len(chunk))
+            yield from self._conn.execute(
+                f"SELECT {columns} FROM results "
+                f"WHERE point_key IN ({marks})", chunk).fetchall()
 
     def result_count(self) -> int:
         with self._lock:

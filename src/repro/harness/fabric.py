@@ -141,8 +141,13 @@ def run_point_batch(payload: Dict[str, Any]) -> List[Any]:
 
 
 def _worker_main(task_queue, result_queue, runner: Callable[[Any], Any],
-                 heartbeat: float) -> None:
-    """Worker process entry: pull jobs until the ``None`` sentinel."""
+                 heartbeat: float, current) -> None:
+    """Worker process entry: pull jobs until the ``None`` sentinel.
+
+    ``current`` is shared memory holding the id of the job this worker
+    took last. It is written before the job runs, so the parent can
+    pin a crash on the job even when the worker dies before its queued
+    ``started`` message reaches the parent."""
     # Spawn-mode workers inherit no logging handlers; rebuild the
     # parent's configuration from REPRO_LOG (no-op when unset, and
     # harmlessly idempotent under fork).
@@ -177,6 +182,7 @@ def _worker_main(task_queue, result_queue, runner: Callable[[Any], Any],
             result_queue.put(("bye", pid, None))
             return
         job_id, attempt, payload = item
+        current.value = job_id
         result_queue.put(("started", job_id, pid))
         _log.debug("fabric job started", fabric_job=job_id,
                    attempt=attempt, worker_pid=pid)
@@ -235,6 +241,8 @@ class WorkerPool:
         self._jobs: Dict[int, _Job] = {}
         self._job_seq = itertools.count(1)
         self._procs: List[Any] = []
+        #: worker pid -> shared slot with the id of its latest job
+        self._current: Dict[int, Any] = {}
         self._closing = threading.Event()
         self._closed = False
         self._last_heartbeat: Dict[int, float] = {}
@@ -334,13 +342,15 @@ class WorkerPool:
     # -- parent-side threads -------------------------------------------------
 
     def _spawn_locked(self) -> Any:
+        current = self._ctx.RawValue("q", 0)
         proc = self._ctx.Process(
             target=_worker_main,
             args=(self._tasks, self._results, self._runner,
-                  self._heartbeat),
+                  self._heartbeat, current),
             name=f"{self.name}-worker", daemon=True)
         proc.start()
         self._procs.append(proc)
+        self._current[proc.pid] = current
         self._trace_instant("worker spawned", {"worker_pid": proc.pid})
         _log.info("worker spawned", worker_pid=proc.pid, pool=self.name)
         return proc
@@ -395,9 +405,10 @@ class WorkerPool:
                 orphans: List[_Job] = []
                 for proc in dead:
                     self.crashed += 1
-                    for job in self._jobs.values():
-                        if job.pid == proc.pid and not job.future.done():
-                            orphans.append(job)
+                    job = self._jobs.get(self._current.pop(proc.pid).value)
+                    if job is not None and not job.future.done():
+                        job.pid = proc.pid
+                        orphans.append(job)
                 replacements = len(dead)
                 requeue: List[_Job] = []
                 fail: List[_Job] = []

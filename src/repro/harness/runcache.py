@@ -45,6 +45,11 @@ cache without anyone remembering to bump anything; and payloads whose
 key set still fails to match on read are treated as misses
 (:meth:`SimResult.from_dict` returns ``None``) rather than resurrected.
 
+Reads are served through a bounded in-process memo of decoded entries,
+revalidated against each file's ``stat`` signature on every read (see
+:meth:`RunCache._load`), so a repeated hit costs one ``os.stat`` and a
+``marshal`` decode instead of a file read and a JSON parse.
+
 Custom (non-registry) architectures are cached under their display
 name; as with the in-memory cache, the name must encode the parameters
 (the config is hashed too, but the factory itself cannot be).
@@ -63,10 +68,14 @@ CLI: ``esp-nuca repro-cache stats`` / ``esp-nuca repro-cache clear``
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
+import marshal
 import os
 import shutil
+import threading
+from collections import OrderedDict
 from typing import Dict, List, Optional
 
 from repro.sim.results import SimResult
@@ -88,6 +97,11 @@ DEFAULT_SHARDS = 256
 #: Upper bound on the shard count — beyond this the per-shard directory
 #: overhead outweighs any contention win.
 MAX_SHARDS = 65_536
+
+#: Byte budget of each :class:`RunCache`'s in-process memo of decoded
+#: entries, counted in marshal bytes (5-9 KiB for a scaled-config
+#: result, so a couple of thousand entries).
+MEMO_BYTES = 16 << 20
 
 
 def env_int(name: str, default: int, minimum: int = 0) -> int:
@@ -143,15 +157,22 @@ def shard_name(index: int, shards: int) -> str:
     return f"{index:0{shard_chars(shards)}x}"
 
 
+#: Short stable hash of the current :class:`SimResult` schema, and the
+#: directory prefix of the current (version, schema) generation. Both
+#: are fixed for the life of the process, so they are computed once.
+_SCHEMA_FINGERPRINT = hashlib.sha256(
+    ",".join(SimResult.schema_keys()).encode("utf-8")).hexdigest()[:8]
+_GENERATION = f"v{CACHE_VERSION}-{_SCHEMA_FINGERPRINT}"
+
+
 def schema_fingerprint() -> str:
     """Short stable hash of the current :class:`SimResult` schema."""
-    canon = ",".join(SimResult.schema_keys())
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:8]
+    return _SCHEMA_FINGERPRINT
 
 
 def cache_generation() -> str:
     """Directory prefix for the current (version, schema) generation."""
-    return f"v{CACHE_VERSION}-{schema_fingerprint()}"
+    return _GENERATION
 
 
 def cache_key(config, settings, architecture: str, workload: str,
@@ -160,14 +181,24 @@ def cache_key(config, settings, architecture: str, workload: str,
 
     ``config`` is a :class:`SystemConfig`; ``settings`` anything with
     ``refs_per_core``/``warmup_refs_per_core``/``capacity_factor``.
+    Memoized on exactly the values hashed: ``SystemConfig`` is a
+    frozen, hashable dataclass, so equal inputs give equal keys.
     """
+    return _cache_key(config, settings.refs_per_core,
+                      settings.warmup_refs_per_core,
+                      settings.capacity_factor, architecture, workload, seed)
+
+
+@functools.lru_cache(maxsize=4096, typed=True)
+def _cache_key(config, refs_per_core, warmup_refs_per_core, capacity_factor,
+               architecture, workload, seed) -> str:
     payload = {
         "version": CACHE_VERSION,
         "schema": SimResult.schema_keys(),
         "config": dataclasses.asdict(config),
-        "refs_per_core": settings.refs_per_core,
-        "warmup_refs_per_core": settings.warmup_refs_per_core,
-        "capacity_factor": settings.capacity_factor,
+        "refs_per_core": refs_per_core,
+        "warmup_refs_per_core": warmup_refs_per_core,
+        "capacity_factor": capacity_factor,
         "architecture": architecture,
         "workload": workload,
         "seed": seed,
@@ -283,6 +314,11 @@ class RunCache:
         self.misses = 0
         self.writes = 0
         self._index: Optional[ShardIndex] = None
+        #: key -> (file signature, marshal bytes of the payload), in
+        #: least-recently-used order; filled by get, never by put.
+        self._memo: "OrderedDict[str, tuple]" = OrderedDict()
+        self._memo_bytes = 0
+        self._memo_lock = threading.Lock()
 
     @classmethod
     def from_env(cls) -> "RunCache":
@@ -307,8 +343,7 @@ class RunCache:
     @property
     def index(self) -> ShardIndex:
         """The generation's read-through :class:`ShardIndex` (lazy)."""
-        if self._index is None or \
-                not self._index.root.endswith(cache_generation()):
+        if self._index is None:
             self._index = ShardIndex(
                 os.path.join(self.root, cache_generation()))
         return self._index
@@ -333,24 +368,81 @@ class RunCache:
         return os.path.join(self.root, cache_generation(),
                             self.shard_dir(key), f"{key}.json")
 
-    def get(self, key: str) -> Optional[SimResult]:
-        if not self.enabled:
-            return None
+    def _load(self, key: str) -> Optional[Dict[str, object]]:
+        """A fresh, schema-validated payload for ``key``, or ``None`` on
+        a miss; counts the hit or miss.
+
+        Decoded entries are memoized in-process, each under the
+        ``(st_ino, st_mtime_ns, st_size)`` signature of the file it was
+        read from, so a repeat hit costs one ``os.stat`` and a
+        ``marshal`` decode. A write to the entry changes or removes
+        the signature (``os.replace`` by any writer brings a new inode,
+        an in-place write a new size or mtime, ``clear()`` removes the
+        file), and the entry is then read and validated again. Every
+        call returns new objects: callers may mutate what they get."""
+        path = self.entry_path(key)
         try:
-            with open(self.entry_path(key), encoding="utf-8") as handle:
+            st = os.stat(path)
+        except OSError:
+            self._miss(key)
+            return None
+        with self._memo_lock:
+            memo = self._memo.get(key)
+            if memo is not None and memo[0] == (st.st_ino, st.st_mtime_ns,
+                                                st.st_size):
+                self._memo.move_to_end(key)
+                self.hits += 1
+            else:
+                memo = None
+        if memo is not None:
+            return marshal.loads(memo[1])
+        try:
+            with open(path, encoding="utf-8") as handle:
+                st = os.fstat(handle.fileno())
                 payload = json.load(handle)
         except (OSError, ValueError):
             # Missing entries and corrupt/truncated payloads (a reader
             # racing put()'s atomic rename, a torn write from a crash,
             # garbage on disk) are all the same thing: a miss.
-            self.misses += 1
+            payload = None
+        if payload_to_result(payload) is None:
+            self._miss(key)
             return None
-        result = payload_to_result(payload)
-        if result is None:
+        self._remember(key, (st.st_ino, st.st_mtime_ns, st.st_size),
+                       marshal.dumps(payload))
+        return payload
+
+    def _remember(self, key: str, signature: tuple, blob: bytes) -> None:
+        """Count a hit read from disk and memoize its payload, evicting
+        least recently used entries to stay within :data:`MEMO_BYTES`."""
+        with self._memo_lock:
+            self.hits += 1
+            self._discard(key)
+            if len(blob) > MEMO_BYTES:
+                return
+            self._memo[key] = (signature, blob)
+            self._memo_bytes += len(blob)
+            while self._memo_bytes > MEMO_BYTES:
+                _, (_, evicted) = self._memo.popitem(last=False)
+                self._memo_bytes -= len(evicted)
+
+    def _miss(self, key: str) -> None:
+        """Count a miss and drop any memo of the entry."""
+        with self._memo_lock:
             self.misses += 1
+            self._discard(key)
+
+    def _discard(self, key: str) -> None:
+        """Drop one memo entry (caller holds the lock)."""
+        old = self._memo.pop(key, None)
+        if old is not None:
+            self._memo_bytes -= len(old[1])
+
+    def get(self, key: str) -> Optional[SimResult]:
+        if not self.enabled:
             return None
-        self.hits += 1
-        return result
+        payload = self._load(key)
+        return None if payload is None else payload_to_result(payload)
 
     def get_payload(self, key: str) -> Optional[Dict[str, object]]:
         """The raw wire payload for a key, schema-validated, or ``None``
@@ -362,17 +454,7 @@ class RunCache:
         uses. Counts hits/misses like :meth:`get`."""
         if not self.enabled:
             return None
-        try:
-            with open(self.entry_path(key), encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, ValueError):
-            self.misses += 1
-            return None
-        if not isinstance(payload, dict) or payload_to_result(payload) is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return payload
+        return self._load(key)
 
     def put(self, key: str, result: SimResult) -> None:
         if not self.enabled:
@@ -473,6 +555,9 @@ class RunCache:
         removed = self.stats()["entries"]
         if os.path.isdir(self.root):
             shutil.rmtree(self.root)
+        with self._memo_lock:
+            self._memo.clear()
+            self._memo_bytes = 0
         return removed
 
 

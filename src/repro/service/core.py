@@ -293,21 +293,24 @@ class ServiceCore:
         return f"j{next(self._job_seq)}"
 
     def create_job(self, points: List, priority: int, owner: str,
-                   job_id: Optional[str] = None
+                   job_id: Optional[str] = None,
+                   keys: Optional[List[str]] = None
                    ) -> Tuple[Job, "Dict[str, Any]"]:
         """Build the (not yet admitted) job for a point list; returns
         ``(job, unique_points)``. ``job_id`` lets a front end with
-        persistent identity (the gateway) reuse its stored id."""
+        persistent identity (the gateway) reuse its stored id; ``keys``
+        are the points' cache keys when the caller already has them."""
         if job_id is None:
             job_id = self.new_job_id()
         if job_id in self.jobs:
             raise ValueError(f"duplicate job id {job_id!r}")
+        if keys is None:
+            keys = [point.key for point in points]
         self.points_requested += len(points)
         order: List[str] = []
         unique: Dict[str, Any] = {}
         meta: Dict[str, Tuple[str, str, int]] = {}
-        for point in points:
-            key = point.key
+        for point, key in zip(points, keys):
             order.append(key)
             unique.setdefault(key, point)
             meta[key] = (point.name, point.workload, point.seed)

@@ -123,7 +123,7 @@ class SimResult:
         schema*. The persistent run cache derives its version from a
         hash of this list, so any field add/remove/rename invalidates
         stale entries automatically."""
-        return sorted(f.name for f in fields(cls))
+        return list(_SCHEMA_KEYS)
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-clean structured form (exact round-trip via from_dict)."""
@@ -142,7 +142,7 @@ class SimResult:
         Returns ``None`` when the payload's top-level key set does not
         match the current schema — the stale-cache signal.
         """
-        if not isinstance(data, dict) or sorted(data) != cls.schema_keys():
+        if not isinstance(data, dict) or data.keys() != _SCHEMA_KEY_SET:
             return None
         kwargs = dict(data)
         try:
@@ -152,3 +152,8 @@ class SimResult:
         except (KeyError, AttributeError, TypeError):
             return None
         return cls(**kwargs)
+
+
+#: The schema :meth:`SimResult.schema_keys` reports, computed once.
+_SCHEMA_KEYS = tuple(sorted(f.name for f in fields(SimResult)))
+_SCHEMA_KEY_SET = frozenset(_SCHEMA_KEYS)

@@ -1,8 +1,7 @@
 """Vectorized batch engine (docs/engine.md).
 
 Struct-of-arrays trace views, an L1 membership mirror with a change
-journal, batch replacement kernels over SoA set state, and the
-epoch-batched :class:`~repro.sim.vector.engine.VectorizedEngine` that
+journal, batched contention kernels, and the epoch-batched :class:`~repro.sim.vector.engine.VectorizedEngine` that
 commits contention-free reference runs in bulk between contention
 points while producing byte-identical results to the reference engine.
 """

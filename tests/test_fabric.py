@@ -60,6 +60,12 @@ def echo_runner(payload):
     return {"value": payload["value"] * 2, "pid": os.getpid()}
 
 
+def suicide_runner(payload):
+    """Die the moment the job starts, before the worker's queue feeder
+    thread has flushed its ``started`` message to the parent."""
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
 def boom_runner(payload):
     if payload.get("boom"):
         raise ValueError(f"deterministic failure {payload['value']}")
@@ -81,10 +87,13 @@ def gate_runner(payload):
 
 
 def _markers(gate_dir):
+    """``(pid, name)`` of each started job, oldest first (by the start
+    timestamp: sorting the names would order by pid digits)."""
     out = []
-    for name in sorted(os.listdir(gate_dir)):
+    for name in os.listdir(gate_dir):
         if name.startswith("started-"):
             out.append((int(name.split("-")[1]), name))
+    out.sort(key=lambda marker: int(marker[1].split("-")[2]))
     return out
 
 
@@ -177,6 +186,19 @@ class TestWorkerPool:
             assert stats["crashed"] == 1
             # the pool healed back to full strength
             assert _wait_for(lambda: len(pool.pids()) == 2)
+        finally:
+            pool.close()
+
+    def test_crash_before_start_reaches_the_parent(self):
+        # The parent never hears "started" from a worker killed at once:
+        # the crash must still be pinned on the job, not leave it
+        # pending forever.
+        pool = WorkerPool(1, runner=suicide_runner)
+        try:
+            future = pool.submit({"value": 1})
+            with pytest.raises(WorkerCrashError, match="requeue-once"):
+                future.result(timeout=POOL_TIMEOUT)
+            assert pool.stats()["requeued"] == 1
         finally:
             pool.close()
 

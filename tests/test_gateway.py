@@ -257,6 +257,26 @@ class TestStore:
             assert got == many  # >500 keys exercises the IN-chunking
             assert "absent" not in got
 
+    def test_replayed_results_are_not_rewritten(self, tmp_path):
+        with JobStore.open(str(tmp_path / "r.sqlite")) as store:
+            grid = {f"key{i}": {"i": i} for i in range(4)}
+            store.record_results(grid)
+
+            def created():
+                return dict(store._conn.execute(
+                    "SELECT point_key, created_at FROM results").fetchall())
+
+            stamps = created()
+            changes = store._conn.total_changes
+            store.record_results(grid)  # a cache-hit replay of the grid
+            assert store._conn.total_changes == changes
+            assert created() == stamps
+            store.record_results({**grid, "key4": {"i": 4}})
+            assert store._conn.total_changes == changes + 1
+            assert {k: v for k, v in created().items()
+                    if k != "key4"} == stamps
+            assert store.result_payloads(["key4"]) == {"key4": {"i": 4}}
+
 
 # -- the REST API, end to end -------------------------------------------------
 
