@@ -1,15 +1,15 @@
 """Production HTTP gateway: durable, authenticated simulation serving.
 
-The third front end over the simulation stack (after the batch CLI and
-the JSON-lines daemon), and the first with *state that outlives the
-process*: a REST API (``esp-nuca gateway serve``) sharing the
-:class:`~repro.service.core.ServiceCore` with the socket daemon,
-backed by a SQLite job store with versioned migrations so jobs,
-results-by-content-hash and tenant identities survive restarts — a
-SIGKILL'd gateway recovers its backlog on the next boot and answers
-byte-identically. Multi-tenancy is first-class: hashed API keys,
-per-tenant quotas, token-bucket rate limiting, per-tenant stats
-scopes. See docs/gateway.md.
+The serving front end over the simulation stack, and the one with
+*state that outlives the process*: a REST/SSE API (``esp-nuca gateway
+serve``, over TCP or a unix socket) on top of the
+:class:`~repro.service.core.ServiceCore`, backed by a SQLite job store
+with versioned migrations so jobs, results-by-content-hash and tenant
+identities survive restarts — a SIGKILL'd gateway recovers its backlog
+on the next boot and answers byte-identically. Multi-tenancy is
+first-class: hashed API keys, per-tenant quotas, token-bucket rate
+limiting, per-tenant stats scopes. Traced submits capture one job's
+event trace at a time. See docs/gateway.md.
 """
 
 from repro.gateway.app import (Gateway, GatewayConfig, GatewayThread,

@@ -1,9 +1,8 @@
 """The HTTP gateway: durable, multi-tenant front end over the core.
 
-``esp-nuca gateway serve`` runs one :class:`Gateway`: the shared
-:class:`~repro.service.core.ServiceCore` (same scheduler, coalescing,
-cache fast path and worker fabric as the JSON-lines daemon) plus three
-things the daemon does not have —
+``esp-nuca gateway serve`` runs one :class:`Gateway`: the
+:class:`~repro.service.core.ServiceCore` (scheduler, coalescing, cache
+fast path and worker fabric) plus —
 
 * **durability**: every admitted job is written to the
   :class:`~repro.gateway.store.JobStore` before the client hears
@@ -22,7 +21,11 @@ things the daemon does not have —
   submissions (typed 429 + ``Retry-After``), and per-tenant
   concurrent-job / queue-depth quotas bound what any one tenant can
   occupy (typed 429) — all before the core's own all-or-nothing
-  queue admission (typed 503 when the shared queue itself is full).
+  queue admission (typed 503 when the shared queue itself is full);
+* **event tracing**: a submit with ``"trace": true`` captures that job
+  with the process-global tracer (one traced job at a time), exports
+  it to ``REPRO_TRACE_DIR`` and serves it at ``GET
+  /v1/jobs/{id}/trace``.
 
 Request→response behavior is defined by ``GET /openapi.json``
 (:mod:`repro.gateway.openapi`); docs/gateway.md is the narrative
@@ -32,8 +35,11 @@ version.
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import json
 import math
+import os
+import tempfile
 import threading
 import time
 from dataclasses import dataclass
@@ -47,29 +53,31 @@ from repro.gateway.store import STORED_TERMINAL, JobStore
 from repro.harness.executor import Executor
 from repro.harness.runner import RunSettings
 from repro.obs import metrics as obsmetrics
+from repro.obs import trace as obs
+from repro.obs.export import write_chrome
 from repro.obs.logging import get_logger, log_context
-from repro.service import protocol as proto
 from repro.service import queue as q
-from repro.service.core import ServiceCore
+from repro.service.core import ProtocolError, ServiceCore
 from repro.service.progress import TERMINAL, Job
 
 #: Submit fields persisted for recovery (the canonical request is what
-#: re-expands to the identical grid after a restart).
+#: re-expands to the identical grid after a restart). ``trace`` is not
+#: one of them: a recovered job re-runs untraced.
 REQUEST_FIELDS = ("architectures", "workloads", "seeds", "settings",
                   "priority", "check")
 
 #: Reject-reason counter names under ``gateway.rejects`` — one per typed
-#: failure class, mirroring the daemon's protocol error codes.
+#: admission or access failure class.
 REJECT_REASONS = ("auth", "bad-request", "quota-jobs", "quota-points",
                   "rate-limited", "queue-full", "draining", "not-found")
 
 
 @dataclass(frozen=True)
 class GatewayConfig:
-    """Gateway knobs. Service-core knobs mirror ``ServiceConfig``; the
-    ``anon_*`` fields are the pseudo-tenant quota applied when
-    ``allow_anonymous`` is set (dev/test mode — production gateways
-    should require keys)."""
+    """Gateway knobs. ``queue_limit``/``workers``/``batch`` size the
+    :class:`ServiceCore`; the ``anon_*`` fields are the pseudo-tenant
+    quota applied when ``allow_anonymous`` is set (dev/test mode —
+    production gateways should require keys)."""
 
     bind: Tuple = ("tcp", "127.0.0.1", 8643)
     db_path: str = "gateway.sqlite"
@@ -248,6 +256,11 @@ class Gateway:
         self._stopped: Optional[asyncio.Event] = None
         self._shutting_down = False
         self.recovery_done: Optional[asyncio.Event] = None
+        # Event-trace capture (one traced job at a time; the tracer is
+        # process-global while it is active).
+        self._trace_job: Optional[str] = None
+        self._tracer: Optional[obs.Tracer] = None
+        self._trace_prev: Any = None
         self.exporter: Optional[obsmetrics.MetricsExporter] = (
             self._build_exporter() if self._telemetry else None)
 
@@ -300,6 +313,11 @@ class Gateway:
         if self._server is not None:
             self._server.close()
             self._server = None
+        if self.address is not None and self.address[0] == "unix":
+            try:
+                os.unlink(self.address[1])
+            except OSError:
+                pass
         summary["store"] = self.store.counts_by_state()
         self.store.close()
         if self._stopped is not None:
@@ -326,9 +344,8 @@ class Gateway:
                     continue  # cancelled through the API while we waited
                 try:
                     request = json.loads(row["request"])
-                    points, priority, _check = \
-                        self.core.request_points(request)
-                except (ValueError, proto.ProtocolError) as exc:
+                    points, priority = self.core.request_points(request)
+                except (ValueError, ProtocolError) as exc:
                     # A request that no longer validates (schema drift,
                     # removed workload) can never run again.
                     self.store.set_job_state(
@@ -415,6 +432,77 @@ class Gateway:
         else:
             self.store.set_job_state(pk, "cancelled")
 
+    # -- event tracing -------------------------------------------------------
+
+    def _begin_trace(self, job: Job) -> obs.Tracer:
+        """Install a process-global tracer for one job's lifetime.
+
+        The capture is process-wide: it records every simulation the
+        executor runs while the job is active. For a clean single-job
+        trace run the gateway serially (``--workers 1``, one
+        dispatcher). Sim-clock events of points dispatched to the
+        worker fabric stay in the worker processes (the executor emits
+        a ``pool run`` marker instead).
+        """
+        tracer = obs.Tracer()
+        self._trace_job = job.id
+        self._tracer = tracer
+        self._trace_prev = obs.install(tracer)
+        job.trace = True
+        return tracer
+
+    def _abort_trace(self) -> None:
+        """Undo :meth:`_begin_trace` when admission fails."""
+        if self._tracer is None:
+            return
+        obs.install(self._trace_prev)
+        self._trace_job = None
+        self._tracer = None
+        self._trace_prev = None
+
+    def _trace_admitted(self, tracer: obs.Tracer, job: Job,
+                        points: int) -> None:
+        """Mark the admission on the job's track and export the capture
+        once the job reaches a terminal state."""
+        if tracer.wants("service"):
+            tracer.instant(
+                "service", "job admitted", ts=tracer.wall_now(),
+                pid=tracer.wall_pid, tid=f"job {job.id}",
+                args={"points": points, "cached": job.cached,
+                      "coalesced": job.coalesced})
+        self.core._emit_gauges()
+        job.done.add_done_callback(lambda fut: self._finish_trace(job))
+
+    def _finish_trace(self, job: Job) -> None:
+        """Job reached a terminal state: render its lifecycle spans,
+        export the capture to ``REPRO_TRACE_DIR``, and restore the
+        previous tracer."""
+        tracer = self._tracer
+        self._abort_trace()
+        if tracer is None:  # already finished (defensive)
+            return
+        if tracer.wants("service") and job.timeline:
+            tid = f"job {job.id}"
+            for (state, ts), (_, ts_next) in zip(job.timeline,
+                                                 job.timeline[1:]):
+                tracer.complete("service", state, ts=ts, dur=ts_next - ts,
+                                pid=tracer.wall_pid, tid=tid)
+            last_state, last_ts = job.timeline[-1]
+            tracer.instant("service", last_state, ts=last_ts,
+                           pid=tracer.wall_pid, tid=tid,
+                           args={"job": job.id})
+        directory = (os.environ.get("REPRO_TRACE_DIR")
+                     or os.path.join(tempfile.gettempdir(),
+                                     "esp-nuca-traces"))
+        path = os.path.join(directory, f"{job.id}.trace.json")
+        try:
+            os.makedirs(directory, exist_ok=True)
+            write_chrome(tracer, path)
+        except OSError as exc:
+            job.trace_error = f"trace export failed: {exc}"
+        else:
+            job.trace_path = path
+
     # -- telemetry -----------------------------------------------------------
 
     def _build_exporter(self) -> obsmetrics.MetricsExporter:
@@ -500,7 +588,7 @@ class Gateway:
         if len(parts) == 3 and parts[:2] == ("v1", "jobs"):
             return "v1_jobs_id"
         if len(parts) == 4 and parts[:2] == ("v1", "jobs") and \
-                parts[3] in ("results", "events"):
+                parts[3] in ("results", "events", "trace"):
             return f"v1_jobs_id_{parts[3]}"
         return "other"
 
@@ -717,6 +805,9 @@ class Gateway:
             if parts[3] == "events":
                 await self._events(reader, writer, job, row)
                 return True
+            if parts[3] == "trace":
+                await self._trace(writer, keep, job, row)
+                return False
         raise self._reject(tenant if parts[:1] == ["v1"] else None,
                            "not-found", 404, "not-found",
                            f"no route for {request.method} {request.path}")
@@ -747,10 +838,20 @@ class Gateway:
                 headers={"Retry-After": str(max(1, math.ceil(retry_after)))})
         body = request.json()
         try:
-            points, priority, _check = self.core.request_points(body)
-        except proto.ProtocolError as exc:
+            points, priority = self.core.request_points(body)
+        except ProtocolError as exc:
             raise self._reject(tenant, "bad-request", 400, "bad-request",
                                str(exc))
+        trace = body.get("trace", False)
+        if not isinstance(trace, bool):
+            raise self._reject(tenant, "bad-request", 400, "bad-request",
+                               f"field 'trace' must be a boolean, "
+                               f"got {trace!r}")
+        if trace and self._trace_job is not None:
+            raise self._reject(
+                tenant, "bad-request", 400, "bad-request",
+                f"job {self._trace_job} is already being traced "
+                f"(one traced job at a time)")
         active = self.core.active_jobs(owner=tenant.owner)
         if active >= tenant.max_jobs:
             raise self._reject(
@@ -777,14 +878,18 @@ class Gateway:
             job, unique = self.core.create_job(points, priority,
                                                tenant.owner,
                                                job_id=f"g{pk}", keys=keys)
+            tracer = self._begin_trace(job) if trace else None
             try:
                 self.core.admit(job, unique)
             except q.QueueFullError as exc:
+                self._abort_trace()
                 # Never admitted ⇒ must not be "recovered" after restart.
                 self.store.delete_job(pk)
                 raise self._reject(tenant, "queue-full", 503, "queue-full",
                                    str(exc), headers={"Retry-After": "5"})
             self._start_tracker(job, pk)
+            if tracer is not None:
+                self._trace_admitted(tracer, job, len(points))
             job.seal()
             self.log.info("job admitted", points=len(points),
                           unique=unique_count, cached=job.cached,
@@ -914,7 +1019,7 @@ class Gateway:
                       job: Optional[Job], row: Dict[str, Any]) -> None:
         """SSE progress stream; ends with an ``event=end`` frame. A
         client disconnect mid-stream just unsubscribes — the job (and
-        the daemon) are unaffected. The read side is watched while we
+        the gateway) are unaffected. The read side is watched while we
         wait for snapshots: an SSE client never sends again, so EOF (or
         stray bytes) means the watcher went away — detected *promptly*
         instead of on some later write into a dead socket, so the
@@ -969,6 +1074,32 @@ class Gateway:
                 except (asyncio.CancelledError, OSError):
                     pass
             job.unsubscribe(channel)
+
+    async def _trace(self, writer: asyncio.StreamWriter, keep: bool,
+                     job: Optional[Job], row: Dict[str, Any]) -> None:
+        """The exported Chrome-trace JSON of a traced job, once it is
+        terminal. Recovered and pre-restart jobs were never traced by
+        this process."""
+        gid = f"g{row['id']}"
+        if job is None or not job.trace:
+            raise http.HttpError(404, "not-traced",
+                                 f"job {gid} was not submitted with trace")
+        if job.trace_error is not None:
+            raise http.HttpError(500, "trace-failed", job.trace_error)
+        if job.trace_path is None:
+            raise http.HttpError(
+                409, "not-done",
+                f"job {gid} is {job.state}; its trace is exported once "
+                f"the job is terminal")
+        try:
+            with open(job.trace_path, encoding="utf-8") as handle:
+                text = handle.read()
+        except OSError as exc:
+            raise http.HttpError(500, "trace-failed",
+                                 f"trace unreadable: {exc}")
+        await http.send_text(writer, 200, text,
+                             content_type="application/json",
+                             keep_alive=keep)
 
     async def _cancel(self, writer: asyncio.StreamWriter, keep: bool,
                       pk: int, job: Optional[Job],
@@ -1027,8 +1158,17 @@ async def _thread_main(gateway: Gateway, started: threading.Event,
 
 
 class GatewayThread:
-    """A gateway on a background event loop — tests and notebooks (the
-    HTTP sibling of :class:`~repro.service.server.ServiceThread`)."""
+    """A gateway on a background event loop — tests and notebooks.
+
+    ::
+
+        with GatewayThread(config) as handle:
+            client = GatewayClient(handle.base_url)
+            ...
+
+    Exiting the block drains the gateway (unless :meth:`drain` already
+    stopped it) and joins the thread.
+    """
 
     def __init__(self, config: Optional[GatewayConfig] = None,
                  executor: Optional[Executor] = None,
@@ -1044,8 +1184,11 @@ class GatewayThread:
 
     @property
     def base_url(self) -> str:
-        kind, host, port = self.address
-        assert kind == "tcp", "base_url needs a TCP bind"
+        """The :class:`~repro.gateway.client.GatewayClient` base:
+        ``http://host:port``, or ``unix:/path`` for a unix bind."""
+        if self.address[0] == "unix":
+            return f"unix:{self.address[1]}"
+        _, host, port = self.address
         return f"http://{host}:{port}"
 
     def __enter__(self) -> "GatewayThread":
@@ -1063,17 +1206,24 @@ class GatewayThread:
             raise RuntimeError("gateway failed to start within 30s")
         return self
 
-    def __exit__(self, *exc_info) -> None:
-        import concurrent.futures
-
+    def drain(self, timeout: float = 120.0) -> Optional[Dict[str, Any]]:
+        """Gracefully stop the gateway from any thread
+        (:meth:`Gateway.shutdown`: every job resolves, dispatchers and
+        fabric processes stop), join its thread, and return the drain
+        summary; ``None`` when it had already stopped."""
         loop = self._box.get("loop")
+        summary = None
         if (self._thread is not None and self._thread.is_alive()
                 and loop is not None and not loop.is_closed()):
             try:
-                future = asyncio.run_coroutine_threadsafe(
-                    self.gateway.shutdown(), loop)
-                future.result(timeout=120)
-            except (RuntimeError, concurrent.futures.TimeoutError):
-                pass
+                summary = asyncio.run_coroutine_threadsafe(
+                    self.gateway.shutdown(), loop).result(timeout=timeout)
+            except (RuntimeError, concurrent.futures.TimeoutError,
+                    concurrent.futures.CancelledError):
+                pass  # another drain stopped the loop first
         if self._thread is not None:
-            self._thread.join(timeout=120)
+            self._thread.join(timeout=timeout)
+        return summary
+
+    def __exit__(self, *exc_info) -> None:
+        self.drain()

@@ -1,11 +1,12 @@
 """Synchronous HTTP client for the gateway — stdlib ``http.client``.
 
-The HTTP sibling of :class:`~repro.service.client.ServiceClient`: used
-by tests, ``tools/gateway_smoke.py`` and the benchmark, and small
-enough to read as API documentation. One client holds one keep-alive
-connection; typed error replies raise :class:`GatewayError` carrying
-the HTTP status and machine ``code`` so callers branch on
-``exc.code == "rate-limited"`` instead of string-matching messages.
+Used by ``esp-nuca submit``, tests, the smoke tools and the benchmark,
+and small enough to read as API documentation. One client holds one
+keep-alive connection, over TCP (``http://host:port``) or a unix
+socket (``unix:/path``); typed error replies raise
+:class:`GatewayError` carrying the HTTP status and machine ``code`` so
+callers branch on ``exc.code == "rate-limited"`` instead of
+string-matching messages.
 
 ::
 
@@ -13,7 +14,7 @@ the HTTP status and machine ``code`` so callers branch on
     job = client.submit(["esp-nuca"], ["apache"])["job"]
     for event in client.events(job):      # SSE stream
         ...
-    results = client.results(job)["results"]
+    results = payloads_to_results(client.results(job)["results"])
 """
 
 from __future__ import annotations
@@ -24,6 +25,63 @@ import socket
 import time
 from typing import Any, Dict, Iterator, List, Optional
 from urllib.parse import urlsplit
+
+from repro.sim.results import SimResult
+
+#: Port of ``host``-only addresses (the gateway's default bind).
+DEFAULT_PORT = 8643
+
+
+def parse_address(text: str):
+    """``host:port`` or ``unix:/path`` → ``("tcp", host, port)`` /
+    ``("unix", path)`` (the gateway's ``--http`` bind and client
+    forms)."""
+    if text.startswith("unix:"):
+        path = text[len("unix:"):]
+        if not path:
+            raise ValueError("unix address needs a path: unix:/some/socket")
+        return ("unix", path)
+    host, sep, port = text.rpartition(":")
+    if not sep:
+        host, port = text, str(DEFAULT_PORT)
+    if not host:
+        host = "127.0.0.1"
+    try:
+        return ("tcp", host, int(port))
+    except ValueError:
+        raise ValueError(f"bad address {text!r}: expected host:port or "
+                         f"unix:/path") from None
+
+
+def payloads_to_results(payloads: List[Dict[str, Any]]) -> List[SimResult]:
+    """Rebuild full :class:`SimResult` objects from result payloads."""
+    out = []
+    for payload in payloads:
+        result = SimResult.from_dict(payload)
+        if result is None:
+            raise ValueError("result payload does not match the current "
+                             "SimResult schema (server/client skew?)")
+        out.append(result)
+    return out
+
+
+class UnixHTTPConnection(http.client.HTTPConnection):
+    """An :class:`http.client.HTTPConnection` over an ``AF_UNIX``
+    stream socket (the gateway's ``--http unix:/path`` bind)."""
+
+    def __init__(self, path: str, timeout: Optional[float] = None) -> None:
+        super().__init__("localhost", timeout=timeout)
+        self.socket_path = path
+
+    def connect(self) -> None:
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        try:
+            sock.settimeout(self.timeout)
+            sock.connect(self.socket_path)
+        except OSError:
+            sock.close()
+            raise
+        self.sock = sock
 
 
 class GatewayError(Exception):
@@ -43,12 +101,14 @@ class GatewayClient:
 
     def __init__(self, base_url: str, api_key: Optional[str] = None,
                  timeout: float = 120.0) -> None:
-        split = urlsplit(base_url)
-        if split.scheme != "http" or not split.hostname:
-            raise ValueError(f"base_url must be http://host:port, "
-                             f"got {base_url!r}")
-        self.host = split.hostname
-        self.port = split.port or 80
+        if base_url.startswith("unix:"):
+            self.address = parse_address(base_url)
+        else:
+            split = urlsplit(base_url)
+            if split.scheme != "http" or not split.hostname:
+                raise ValueError(f"base_url must be http://host:port or "
+                                 f"unix:/path, got {base_url!r}")
+            self.address = ("tcp", split.hostname, split.port or 80)
         self.api_key = api_key
         self.timeout = timeout
         self._conn: Optional[http.client.HTTPConnection] = None
@@ -57,9 +117,10 @@ class GatewayClient:
     def wait_until_ready(cls, base_url: str, timeout: float = 60.0,
                          proc=None, api_key: Optional[str] = None
                          ) -> "GatewayClient":
-        """Bounded retry/backoff until ``GET /healthz`` answers (the
-        gateway's :meth:`ServiceClient.wait_until_ready` counterpart);
-        ``proc`` fails fast when the server process dies first."""
+        """Bounded retry/backoff until ``GET /healthz`` answers — the
+        supported way to wait for a freshly spawned gateway; ``proc``
+        (its ``Popen``) fails fast when the server process dies
+        first."""
         deadline = time.monotonic() + timeout
         delay = 0.05
         while True:
@@ -93,10 +154,15 @@ class GatewayClient:
 
     # -- plumbing ------------------------------------------------------------
 
+    def _new_connection(self) -> http.client.HTTPConnection:
+        if self.address[0] == "unix":
+            return UnixHTTPConnection(self.address[1], timeout=self.timeout)
+        _, host, port = self.address
+        return http.client.HTTPConnection(host, port, timeout=self.timeout)
+
     def _connection(self) -> http.client.HTTPConnection:
         if self._conn is None:
-            self._conn = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout)
+            self._conn = self._new_connection()
         return self._conn
 
     def _headers(self) -> Dict[str, str]:
@@ -190,7 +256,13 @@ class GatewayClient:
     def submit(self, architectures: List[str], workloads: List[str],
                seeds: Optional[List[int]] = None,
                settings: Optional[Dict[str, Any]] = None,
-               priority: int = 0, check: int = 0) -> Dict[str, Any]:
+               priority: int = 0, check: int = 0,
+               trace: bool = False) -> Dict[str, Any]:
+        """Submit a grid; returns the admitted job snapshot (with
+        ``results`` when the grid was served entirely from cache).
+        ``check=N`` runs the points with the invariant checker sweeping
+        every Nth access; ``trace=True`` captures the job's event trace
+        (one traced job at a time — fetch it with :meth:`trace`)."""
         body: Dict[str, Any] = {"architectures": architectures,
                                 "workloads": workloads,
                                 "priority": priority}
@@ -200,6 +272,8 @@ class GatewayClient:
             body["settings"] = settings
         if check:
             body["check"] = check
+        if trace:
+            body["trace"] = True
         return self.request("POST", "/v1/jobs", body)
 
     def jobs(self, limit: int = 100) -> List[Dict[str, Any]]:
@@ -211,6 +285,10 @@ class GatewayClient:
 
     def results(self, job_id: str) -> Dict[str, Any]:
         return self.request("GET", f"/v1/jobs/{job_id}/results")
+
+    def trace(self, job_id: str) -> Dict[str, Any]:
+        """The Chrome-trace JSON of a terminal traced job."""
+        return self.request("GET", f"/v1/jobs/{job_id}/trace")
 
     def cancel(self, job_id: str) -> Dict[str, Any]:
         return self.request("DELETE", f"/v1/jobs/{job_id}")
@@ -232,8 +310,7 @@ class GatewayClient:
         """Stream SSE frames for a job until the ``end`` frame (the
         server closes the connection after it). Uses a dedicated
         connection — the stream consumes it."""
-        conn = http.client.HTTPConnection(self.host, self.port,
-                                          timeout=self.timeout)
+        conn = self._new_connection()
         try:
             conn.request("GET", f"/v1/jobs/{job_id}/events",
                          headers=self._headers())

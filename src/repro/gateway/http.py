@@ -8,8 +8,7 @@ gateway parses HTTP itself. Deliberately small: request-line + headers
 transfer encoding for Server-Sent Events. No TLS (deploy behind a
 terminating proxy), no multipart, no compression.
 
-Hardening mirrors the JSON-lines protocol's: every limit is explicit
-and every violation is a *typed* error response, never a hung
+Hardening: every limit is explicit and every violation is a *typed* error response, never a hung
 connection or an exception escaping to the accept loop —
 
 * request line longer than :data:`MAX_REQUEST_LINE` → ``431``;
@@ -19,8 +18,8 @@ connection or an exception escaping to the accept loop —
   gateway does not accept) → ``413``;
 * anything unparseable → ``400`` with a machine-readable ``code``.
 
-Error bodies are always ``{"error": {"code", "message"}}`` — the HTTP
-rendering of the daemon's typed reject contract.
+Error bodies are always ``{"error": {"code", "message"}}`` — the
+gateway's typed reject contract.
 """
 
 from __future__ import annotations

@@ -40,6 +40,10 @@ _SUBMIT = {"type": "object",
                    "engine": {"type": "string"}}},
                "priority": {"type": "integer"},
                "check": {"type": "integer"},
+               "trace": {"type": "boolean", "description":
+                         "capture this job's event trace (one traced "
+                         "job at a time; not persisted, so a recovered "
+                         "job re-runs untraced)"},
            }}
 
 
@@ -142,7 +146,10 @@ def spec() -> Dict[str, Any]:
                 "post": _op(
                     "submit a simulation grid",
                     {"201": _json_resp("admitted job snapshot", _JOB),
-                     "400": err, "401": err, "403": err,
+                     "400": _json_resp(
+                         "invalid grid, or a traced job is already "
+                         "running", _ERROR),
+                     "401": err, "403": err,
                      "429": _json_resp(
                          "quota or rate-limit reject (Retry-After set "
                          "for rate limits)", _ERROR),
@@ -174,5 +181,15 @@ def spec() -> Dict[str, Any]:
                          "text/event-stream of snapshot frames; the "
                          "final frame has event=end"},
                  "401": err, "404": err})},
+            "/v1/jobs/{id}/trace": {"get": _op(
+                "Chrome trace-event JSON of a terminal traced job",
+                {"200": _json_resp("trace-event document (load in "
+                                   "ui.perfetto.dev)"),
+                 "401": err,
+                 "404": _json_resp("unknown job, or not traced "
+                                   "(code not-traced)", _ERROR),
+                 "409": _json_resp("job not terminal yet", _ERROR),
+                 "500": _json_resp("trace export failed (code "
+                                   "trace-failed)", _ERROR)})},
         },
     }

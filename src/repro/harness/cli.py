@@ -11,13 +11,13 @@ Examples::
     esp-nuca all --jobs 8          # fan runs out over 8 processes
     esp-nuca repro-cache stats     # inspect the persistent run cache
     esp-nuca repro-cache clear
-    esp-nuca serve --bind 127.0.0.1:8642             # simulation daemon
-    esp-nuca submit --arch esp-nuca,shared --workload apache --watch
     esp-nuca gateway serve --db jobs.sqlite --http 127.0.0.1:8643
+    esp-nuca gateway serve --allow-anonymous --http unix:/tmp/esp.sock
+    esp-nuca submit --arch esp-nuca,shared --workload apache --watch
     esp-nuca gateway add-tenant --tenant alice --max-jobs 4
     esp-nuca gateway migrate --db jobs.sqlite        # apply schema upgrades
     esp-nuca top --http 127.0.0.1:8643               # live /metrics dashboard
-    esp-nuca submit --arch esp-nuca --workload apache --trace
+    esp-nuca submit --arch esp-nuca --workload apache --trace --out t.json
     esp-nuca trace fig6 --out trace.json             # capture an event trace
     esp-nuca trace run --arch esp-nuca --sample 10 --categories access,l2
 """
@@ -44,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         choices=list(EXPERIMENTS) + ["all", "run", "stats",
                                                      "list", "trace",
                                                      "overhead", "claims",
-                                                     "repro-cache", "serve",
+                                                     "repro-cache",
                                                      "submit", "gateway",
                                                      "top"],
                         help="experiment id (figN/stability/ablation), "
@@ -53,9 +53,9 @@ def _build_parser() -> argparse.ArgumentParser:
                              "(record a workload trace), 'overhead' (storage "
                              "model), 'claims' (verdicts over --json dir), "
                              "'repro-cache' (persistent cache maintenance), "
-                             "'serve' (simulation daemon), 'submit' (send a "
-                             "grid to a running daemon), 'gateway' (durable "
-                             "HTTP front end), 'top' (live telemetry "
+                             "'submit' (send a grid to a running gateway), "
+                             "'gateway' (durable HTTP front end), 'top' "
+                             "(live telemetry "
                              "dashboard over a gateway's /metrics), or "
                              "'list'")
     parser.add_argument("action", nargs="?", default=None,
@@ -93,7 +93,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--chart", action="store_true",
                         help="append a bar chart of each report's last column")
     parser.add_argument("--out", metavar="FILE", default=None,
-                        help="output file for 'trace'")
+                        help="output file for 'trace' and 'submit --trace' "
+                             "(default <job>.trace.json)")
     tracing = parser.add_argument_group("event tracing "
                                         "('trace <target>' / 'submit')")
     tracing.add_argument("--categories", default=None,
@@ -105,9 +106,8 @@ def _build_parser() -> argparse.ArgumentParser:
                               "(instant events are unaffected; default 1 "
                               "= every access)")
     tracing.add_argument("--trace", action="store_true",
-                         help="submit: ask the server to capture an event "
-                              "trace of this job and report the artifact "
-                              "path")
+                         help="submit: ask the gateway to capture an event "
+                              "trace of this job and save it to --out")
     parser.add_argument("--engine", choices=list(ENGINES), default=None,
                         help="simulation engine (default $REPRO_ENGINE or "
                              f"{DEFAULT_ENGINE!r}; both produce identical "
@@ -125,28 +125,24 @@ def _build_parser() -> argparse.ArgumentParser:
                              "sweeping machine state every Nth demand "
                              "access (bare --check = every access; see "
                              "docs/checking.md). For 'submit' the check "
-                             "runs on the server")
+                             "runs on the gateway")
     service = parser.add_argument_group("simulation service "
-                                        "('serve' / 'submit')")
-    service.add_argument("--bind", default="127.0.0.1:8642",
-                         help="service address: host:port or unix:/path "
-                              "(default 127.0.0.1:8642)")
+                                        "('gateway serve' / 'submit')")
     service.add_argument("--queue-limit", type=int, default=256,
-                         help="serve: max queued point tasks before "
+                         help="gateway serve: max queued point tasks before "
                               "submissions get a typed queue-full reject")
     service.add_argument("--workers", type=int, default=None,
-                         help="serve: simulation worker processes pulling "
-                              "from the shared fabric queue (default "
-                              "$REPRO_WORKERS, $REPRO_JOBS or the CPU "
-                              "count; 1 = serial; see docs/fabric.md)")
+                         help="gateway serve: simulation worker processes "
+                              "pulling from the shared fabric queue "
+                              "(default $REPRO_WORKERS, $REPRO_JOBS or the "
+                              "CPU count; 1 = serial; see docs/fabric.md)")
     service.add_argument("--service-workers", type=int, default=2,
-                         help="serve: asyncio dispatcher tasks (concurrent "
-                              "executor batches), not simulation processes "
-                              "-- that is --workers")
+                         help="gateway serve: asyncio dispatcher tasks "
+                              "(concurrent executor batches), not "
+                              "simulation processes -- that is --workers")
     service.add_argument("--batch", type=int, default=8,
-                         help="serve: max points per executor batch")
-    service.add_argument("--client-jobs", type=int, default=8,
-                         help="serve: max unfinished jobs per connection")
+                         help="gateway serve: max points per executor "
+                              "batch")
     service.add_argument("--priority", type=int, default=0,
                          help="submit: higher runs earlier (default 0)")
     service.add_argument("--no-wait", action="store_true",
@@ -162,7 +158,8 @@ def _build_parser() -> argparse.ArgumentParser:
                               "(default gateway.sqlite)")
     gateway.add_argument("--http", default="127.0.0.1:8643",
                          help="gateway serve: HTTP bind host:port or "
-                              "unix:/path (default 127.0.0.1:8643)")
+                              "unix:/path; submit/top: the gateway to "
+                              "talk to (default 127.0.0.1:8643)")
     gateway.add_argument("--tenant", default=None,
                          help="gateway add-tenant: tenant name (lowercase "
                               "alphanumeric plus '-'/'_')")
@@ -182,7 +179,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="gateway serve: accept unauthenticated "
                               "requests as the shared 'anon' tenant "
                               "(dev/test only)")
-    obs = parser.add_argument_group("telemetry ('top' / daemon logging; "
+    obs = parser.add_argument_group("telemetry ('top' / gateway logging; "
                                     "see docs/observability.md)")
     obs.add_argument("--interval", type=float, default=2.0,
                      help="top: seconds between /metrics scrapes "
@@ -191,16 +188,17 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="top: render a single frame and exit (no "
                           "screen clearing; script-friendly)")
     obs.add_argument("--api-key", default=None,
-                     help="top: gateway API key (optional — /metrics "
-                          "and /readyz need no auth)")
+                     help="submit/top: gateway API key (none for an "
+                          "--allow-anonymous gateway; top needs none — "
+                          "/metrics and /readyz are unauthenticated)")
     obs.add_argument("--log-level", default=None,
                      choices=["debug", "info", "warning", "error"],
-                     help="serve/gateway serve: structured-log "
+                     help="gateway serve: structured-log "
                           "threshold on stderr (default: info; "
                           "propagated to fabric workers via REPRO_LOG)")
     obs.add_argument("--log-format", default="json",
                      choices=["json", "human"],
-                     help="serve/gateway serve: one JSON object per "
+                     help="gateway serve: one JSON object per "
                           "line (default) or human-readable lines")
     return parser
 
@@ -311,75 +309,6 @@ def _event_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve(args: argparse.Namespace) -> int:
-    """``esp-nuca serve`` — run the simulation daemon until drained."""
-    import asyncio
-    import signal
-
-    from repro.harness.executor import Executor
-    from repro.harness.runcache import RunCache
-    from repro.harness.fabric import default_workers
-    from repro.obs.logging import configure
-    from repro.service.protocol import parse_address
-    from repro.service.server import ServiceConfig, SimulationService
-
-    # Structured logs on stderr; the parseable startup/drained lines
-    # below stay on stdout (tools/service_smoke.py greps them).
-    configure(args.log_level or "info", fmt=args.log_format)
-    try:
-        bind = parse_address(args.bind)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.workers is not None and args.workers < 1:
-        # A 0-process fabric would accept jobs and never run one — fail
-        # loudly instead of hanging the first submitter.
-        print("error: --workers must be >= 1 (simulation worker "
-              "processes); got "
-              f"{args.workers}", file=sys.stderr)
-        return 2
-    if args.workers is not None:
-        workers = args.workers
-    elif args.jobs is not None:
-        workers = args.jobs
-    else:
-        workers = default_workers()
-    cache = RunCache(enabled=False) if args.no_cache else RunCache.from_env()
-    service = SimulationService(
-        ServiceConfig(bind=bind, queue_limit=args.queue_limit,
-                      workers=args.service_workers, batch=args.batch,
-                      client_jobs=args.client_jobs),
-        executor=Executor(jobs=workers, cache=cache),
-        settings=_settings(args))
-
-    async def _main() -> None:
-        address = await service.start()
-        shown = (f"unix:{address[1]}" if address[0] == "unix"
-                 else f"{address[1]}:{address[2]}")
-        print(f"esp-nuca service listening on {shown} "
-              f"(queue limit {args.queue_limit}, "
-              f"{workers} simulation process(es), "
-              f"{args.service_workers} dispatcher(s) x batch {args.batch})",
-              flush=True)
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(
-                    sig, lambda: asyncio.ensure_future(service.shutdown()))
-            except NotImplementedError:  # pragma: no cover — non-POSIX
-                pass
-        await service.serve_forever()
-        points = service.points_requested
-        print(f"service drained: {len(service.jobs)} job(s), "
-              f"{points} point(s) requested, "
-              f"{service.points_cached} from cache, "
-              f"{service.points_coalesced} coalesced, "
-              f"{service.executor.executed} executed", flush=True)
-
-    asyncio.run(_main())
-    return 0
-
-
 def _gateway(args: argparse.Namespace) -> int:
     """``esp-nuca gateway <serve|migrate|add-tenant|list-tenants>`` —
     the durable multi-tenant HTTP front end (docs/gateway.md)."""
@@ -448,8 +377,8 @@ def _gateway(args: argparse.Namespace) -> int:
     from repro.harness.executor import Executor
     from repro.harness.fabric import default_workers
     from repro.harness.runcache import RunCache
+    from repro.gateway.client import parse_address
     from repro.obs.logging import configure
-    from repro.service.protocol import parse_address
 
     # Structured logs on stderr; the parseable startup/drained lines
     # below stay on stdout (tools/gateway_smoke.py greps them).
@@ -460,6 +389,8 @@ def _gateway(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.workers is not None and args.workers < 1:
+        # A 0-process fabric would accept jobs and never run one — fail
+        # loudly instead of hanging the first submitter.
         print(f"error: --workers must be >= 1, got {args.workers}",
               file=sys.stderr)
         return 2
@@ -524,9 +455,11 @@ def _top(args: argparse.Namespace) -> int:
 
 
 def _submit(args: argparse.Namespace) -> int:
-    """``esp-nuca submit`` — send one grid to a running daemon."""
-    from repro.service.client import (ServiceClient, ServiceError,
-                                      payloads_to_results)
+    """``esp-nuca submit`` — send one grid to a running gateway
+    (``--http``, ``--api-key``), then wait for it, ``--watch`` it, or
+    leave it running (``--no-wait``)."""
+    from repro.gateway.client import (GatewayClient, GatewayError,
+                                      parse_address, payloads_to_results)
 
     archs = [a.strip() for a in args.arch.split(",") if a.strip()]
     workloads = [w.strip() for w in args.workload.split(",") if w.strip()]
@@ -537,65 +470,68 @@ def _submit(args: argparse.Namespace) -> int:
         ("num_seeds", args.seeds),
         ("engine", args.engine),
     ) if value is not None}
-    wait = not args.no_wait
     try:
-        with ServiceClient.connect(args.bind) as client:
-            if args.watch:
-                reply = client.submit(archs, workloads,
-                                      settings=settings or None,
-                                      priority=args.priority, wait=False,
-                                      trace=args.trace, check=args.check)
-                job = reply["job"]
-                final = reply
-                for event in client.watch(job):
-                    if event.get("event") == "progress":
-                        counts = event["counts"]
-                        print(f"[{job}] {event['state']}: "
-                              f"{counts['done'] + counts['cached']}"
-                              f"/{event['unique_points']} point(s) done "
-                              f"({counts['cached']} cached, "
-                              f"{counts['running']} running)", flush=True)
-                    else:
-                        final = event
-                reply = final
-            else:
-                reply = client.submit(archs, workloads,
-                                      settings=settings or None,
-                                      priority=args.priority, wait=wait,
-                                      trace=args.trace, check=args.check)
-    except ServiceError as exc:
+        address = parse_address(args.http)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    base = (f"unix:{address[1]}" if address[0] == "unix"
+            else f"http://{address[1]}:{address[2]}")
+    # Notes go to stderr when stdout carries the JSON results.
+    notes = sys.stderr if args.json == "-" else sys.stdout
+    try:
+        with GatewayClient(base, api_key=args.api_key) as client:
+            reply = client.submit(archs, workloads,
+                                  settings=settings or None,
+                                  priority=args.priority, check=args.check,
+                                  trace=args.trace)
+            job = reply["job"]
+            if args.no_wait:
+                print(f"job {job}: {reply['state']} "
+                      f"(GET /v1/jobs/{job} for progress)")
+                return 0
+            final = reply
+            for event in client.events(job):
+                if event.get("event") != "progress":
+                    final = event
+                elif args.watch:
+                    counts = event["counts"]
+                    print(f"[{job}] {event['state']}: "
+                          f"{counts['done'] + counts['cached']}"
+                          f"/{event['unique_points']} point(s) done "
+                          f"({counts['cached']} cached, "
+                          f"{counts['running']} running)",
+                          file=notes, flush=True)
+            if args.trace:
+                out = args.out or f"{job}.trace.json"
+                with open(out, "w", encoding="utf-8") as handle:
+                    json.dump(client.trace(job), handle)
+                print(f"wrote the event trace of job {job} to {out}; open "
+                      f"in chrome://tracing or https://ui.perfetto.dev",
+                      file=notes)
+    except GatewayError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ConnectionError, OSError) as exc:
-        print(f"error: cannot reach service at {args.bind}: {exc}",
+    except OSError as exc:
+        print(f"error: cannot reach the gateway at {args.http}: {exc}",
               file=sys.stderr)
         return 1
-    state = reply.get("state", "queued")
-    job = reply.get("job", "?")
-    if reply.get("trace_path"):
-        print(f"trace written to {reply['trace_path']} "
-              f"(server filesystem; open in chrome://tracing)")
-    elif args.trace:
-        print(f"trace capture pending; 'status' on job {job} "
-              f"reports trace_path once the job completes")
-    if "results" not in reply:
-        print(f"job {job}: {state}"
-              + ("" if wait or args.watch else " (use 'status'/'watch')"))
-        if reply.get("errors"):
-            for key, message in reply["errors"].items():
-                print(f"  point failed: {message}", file=sys.stderr)
-            return 1
-        return 0
+    state = final.get("state", "queued")
+    if "results" not in final:
+        print(f"job {job}: {state}")
+        for message in (final.get("errors") or {}).values():
+            print(f"  point failed: {message}", file=sys.stderr)
+        return 1 if final.get("errors") else 0
     if args.json is not None:
-        payload = json.dumps(reply["results"], indent=2, sort_keys=True)
+        payload = json.dumps(final["results"], indent=2, sort_keys=True)
         if args.json == "-":
             print(payload)
         else:
             with open(args.json, "w", encoding="utf-8") as handle:
                 handle.write(payload + "\n")
-            print(f"wrote {len(reply['results'])} result(s) to {args.json}")
+            print(f"wrote {len(final['results'])} result(s) to {args.json}")
         return 0
-    results = payloads_to_results(reply["results"])
+    results = payloads_to_results(final["results"])
     print(f"job {job}: {state}, {len(results)} result(s) "
           f"({reply.get('cached', 0)} from cache, "
           f"{reply.get('coalesced', 0)} coalesced)")
@@ -639,8 +575,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.harness.runcache import main as cache_main
 
         return cache_main([args.action or "stats"])
-    if args.experiment == "serve":
-        return _serve(args)
     if args.experiment == "submit":
         return _submit(args)
     if args.experiment == "gateway":

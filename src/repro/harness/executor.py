@@ -25,7 +25,7 @@ process. Parallel batches route through the shared worker fabric
 (:mod:`repro.harness.fabric`): a persistent pool of worker processes
 pulling jobs from one queue, with heartbeats, crash detection and
 requeue-once recovery — the same pool the simulation service drives,
-so direct runs and ``esp-nuca serve --workers N`` share one
+so direct runs and ``esp-nuca gateway serve --workers N`` share one
 implementation. Custom architecture factories that cannot be pickled
 (lambdas, closures — e.g. the Section 5.2 ablations) are detected and
 simulated in the parent process; everything else goes to the fabric.

@@ -17,14 +17,14 @@ a :class:`WorkerPool` of spawned ``multiprocessing`` workers pulling
 * **one pool for everything** — the :class:`~repro.harness.executor.
   Executor` routes its parallel batches here, and since the simulation
   service schedules through the executor, direct runs, ``esp-nuca
-  repro`` experiments and ``esp-nuca serve --workers N`` all share
-  this one implementation. Results are byte-identical to serial runs
+  repro`` experiments and ``esp-nuca gateway serve --workers N`` all
+  share this one implementation. Results are byte-identical to serial runs
   (``tests/test_fabric.py`` and ``tests/test_executor.py`` pin it);
 * **cross-process cache coalescing** — the default job runner
   (:func:`run_point_batch`) rebuilds the shard-aware
   :class:`~repro.harness.runcache.RunCache` inside the worker and does
   a read-through probe before simulating each point, so a point
-  another process (another worker, another daemon sharing the cache
+  another process (another worker, another gateway sharing the cache
   directory) already committed is served from disk instead of being
   re-simulated.
 

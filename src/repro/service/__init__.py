@@ -1,30 +1,20 @@
-"""Long-running simulation service on top of the executor + run cache.
+"""The simulation service core the HTTP gateway serves from.
 
-The batch harness answers "reproduce figure N"; this package answers
-"serve simulation requests continuously": a daemon (``esp-nuca serve``)
-owning a prioritized bounded job queue, batched workers over
+The batch harness answers "reproduce figure N"; this package holds the
+machinery for "serve simulation requests continuously": a prioritized
+bounded job queue with in-flight coalescing, batched dispatchers over
 :class:`~repro.harness.executor.Executor`, cache-hit fast paths through
-:class:`~repro.harness.runcache.RunCache`, and a JSON-lines protocol
-with streaming progress (``esp-nuca submit``). See docs/service.md.
+:class:`~repro.harness.runcache.RunCache`, and per-job progress
+snapshots. The transport on top is :mod:`repro.gateway` (``esp-nuca
+gateway serve`` / ``esp-nuca submit``). See docs/service.md.
 """
 
-from repro.service.client import (ServiceClient, ServiceError,
-                                  payloads_to_results)
-from repro.service.core import ServiceCore
-from repro.service.protocol import parse_address
+from repro.service.core import ProtocolError, ServiceCore
 from repro.service.queue import QueueFullError, Scheduler
-from repro.service.server import (ServiceConfig, ServiceThread,
-                                  SimulationService)
 
 __all__ = [
-    "ServiceClient",
-    "ServiceError",
-    "ServiceConfig",
+    "ProtocolError",
     "ServiceCore",
-    "ServiceThread",
-    "SimulationService",
     "Scheduler",
     "QueueFullError",
-    "parse_address",
-    "payloads_to_results",
 ]

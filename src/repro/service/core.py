@@ -1,10 +1,9 @@
-"""Transport-agnostic service core: admission, coalescing, dispatch.
+"""The service core: admission, coalescing, dispatch.
 
-Two front ends serve simulations out of one process: the JSON-lines
-socket daemon (:mod:`repro.service.server`, ``esp-nuca serve``) and the
-HTTP gateway (:mod:`repro.gateway`, ``esp-nuca gateway serve``). Both
-need exactly the same machinery between "a validated grid request" and
-"a resolved :class:`~repro.service.progress.Job`":
+The HTTP gateway (:mod:`repro.gateway`, ``esp-nuca gateway serve``)
+serves simulations out of one process through this layer — everything
+between "a validated grid request" and "a resolved
+:class:`~repro.service.progress.Job`":
 
 * grid expansion through :func:`~repro.harness.runner.grid_points`
   (the single source of truth that makes service results byte-identical
@@ -20,16 +19,14 @@ need exactly the same machinery between "a validated grid request" and
 * the drain barrier: backlog finishes, every job resolves, dispatchers
   stop, the fabric's worker processes are torn down.
 
-This module is that shared layer, extracted from the PR 3 daemon so the
-gateway does not fork it. Everything here runs on one event loop
-thread; the front ends own wire concerns (protocol framing, HTTP,
-authentication, persistence) and call in.
+Everything here runs on one event loop thread; the gateway owns the
+wire concerns (HTTP, authentication, persistence, trace capture) and
+calls in.
 """
 
 from __future__ import annotations
 
 import asyncio
-import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import Any, Dict, List, Optional, Tuple
@@ -42,7 +39,6 @@ from repro.harness.reporting import run_stats_payload
 from repro.harness.runner import RunSettings, grid_points
 from repro.obs import trace as obs
 from repro.obs.logging import get_logger
-from repro.service import protocol as proto
 from repro.service import queue as q
 from repro.service.progress import TERMINAL, Job
 from repro.sim.engines import ENGINES
@@ -51,15 +47,53 @@ from repro.workloads.registry import workload_names
 _log = get_logger("core")
 
 
+class ProtocolError(Exception):
+    """A submit request with a missing or invalid field (the gateway
+    answers it with a typed 400 ``bad-request``)."""
+
+
+def check_int(message: Dict[str, Any], field: str, default: int,
+              minimum: int) -> int:
+    """Validated integer field of a request (used for settings knobs)."""
+    value = message.get(field, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ProtocolError(f"field {field!r} must be an integer, "
+                            f"got {value!r}")
+    if value < minimum:
+        raise ProtocolError(f"field {field!r} must be >= {minimum}, "
+                            f"got {value}")
+    return value
+
+
+def check_names(message: Dict[str, Any], field: str,
+                allowed: Optional[list] = None) -> list:
+    """Validated non-empty list-of-strings field (architectures,
+    workloads); ``allowed`` whitelists the values."""
+    value = message.get(field)
+    if isinstance(value, str):
+        value = [value]
+    if not isinstance(value, list) or not value or \
+            not all(isinstance(v, str) for v in value):
+        raise ProtocolError(
+            f"field {field!r} must be a non-empty list of strings")
+    if allowed is not None:
+        unknown = [v for v in value if v not in allowed]
+        if unknown:
+            raise ProtocolError(
+                f"unknown {field}: {', '.join(sorted(unknown))} "
+                f"(known: {', '.join(allowed)})")
+    return value
+
+
 class ServiceCore:
-    """Scheduler + dispatchers + executor behind any service front end.
+    """Scheduler + dispatchers + executor behind the gateway.
 
     One core owns one :class:`Executor` (and through it the run cache
     and the worker fabric), one :class:`Scheduler`, and the job table.
-    Front ends validate their wire format into ``(architectures,
-    workloads, settings, seeds)``, then drive :meth:`create_job` /
-    :meth:`admit`; everything downstream (coalescing, cache fast path,
-    batched dispatch, drain) is shared.
+    The gateway validates a request through :meth:`request_points`,
+    then drives :meth:`create_job` / :meth:`admit`; everything
+    downstream (coalescing, cache fast path, batched dispatch, drain)
+    lives here.
     """
 
     def __init__(self, executor: Optional[Executor] = None,
@@ -78,13 +112,12 @@ class ServiceCore:
         self.scheduler: Optional[q.Scheduler] = None
         self.jobs: Dict[str, Job] = {}
         self.draining = False
-        self._job_seq = itertools.count(1)
         self._workers: List[asyncio.Task] = []
         self._pool: Optional[ThreadPoolExecutor] = None
         self._followers: Dict[str, List[Job]] = {}
         # SystemConfig per (capacity_factor, check-period) pair.
         self._configs: Dict[Tuple[int, int], Any] = {}
-        # lifetime counters (the `status` command's points section)
+        # lifetime counters (the points section of GET /v1/status)
         self.points_requested = 0
         self.points_cached = 0
         self.points_coalesced = 0
@@ -123,7 +156,7 @@ class ServiceCore:
             self._pool.shutdown(wait=True)
             self._pool = None
         # Tear down the fabric's simulation processes as well — the
-        # drain barrier means no worker process outlives the daemon.
+        # drain barrier means no worker process outlives the gateway.
         self.executor.close()
         _log.info("core drained", jobs=len(self.jobs),
                   executed=self.executor.executed, workers_alive=alive)
@@ -223,34 +256,33 @@ class ServiceCore:
 
     def request_settings(self, message: Dict[str, Any]) -> RunSettings:
         """Validated :class:`RunSettings` from a request's ``settings``
-        object (both front ends accept the same field set); raises
-        :class:`~repro.service.protocol.ProtocolError`."""
+        object; raises :class:`ProtocolError`."""
         raw = message.get("settings", {})
         if raw is None:
             raw = {}
         if not isinstance(raw, dict):
-            raise proto.ProtocolError("field 'settings' must be an object")
+            raise ProtocolError("field 'settings' must be an object")
         known = ("refs_per_core", "warmup_refs_per_core", "capacity_factor",
                  "num_seeds", "base_seed", "engine")
         unknown = sorted(set(raw) - set(known))
         if unknown:
-            raise proto.ProtocolError(
+            raise ProtocolError(
                 f"unknown settings field(s): {', '.join(unknown)} "
                 f"(known: {', '.join(known)})")
         engine = raw.get("engine", self.defaults.engine)
         if engine is not None and engine not in ENGINES:
-            raise proto.ProtocolError(
+            raise ProtocolError(
                 f"unknown engine {engine!r}; choices: {', '.join(ENGINES)}")
         d = self.defaults
         return RunSettings(
-            capacity_factor=proto.check_int(
+            capacity_factor=check_int(
                 raw, "capacity_factor", d.capacity_factor, 1),
-            refs_per_core=proto.check_int(
+            refs_per_core=check_int(
                 raw, "refs_per_core", d.refs_per_core, 1),
-            warmup_refs_per_core=proto.check_int(
+            warmup_refs_per_core=check_int(
                 raw, "warmup_refs_per_core", d.warmup_refs_per_core, 0),
-            num_seeds=proto.check_int(raw, "num_seeds", d.num_seeds, 1),
-            base_seed=proto.check_int(raw, "base_seed", d.base_seed, 0),
+            num_seeds=check_int(raw, "num_seeds", d.num_seeds, 1),
+            base_seed=check_int(raw, "base_seed", d.base_seed, 0),
             engine=engine,
         )
 
@@ -262,46 +294,38 @@ class ServiceCore:
         if not isinstance(seeds, list) or not seeds or not all(
                 isinstance(s, int) and not isinstance(s, bool)
                 for s in seeds):
-            raise proto.ProtocolError(
+            raise ProtocolError(
                 "field 'seeds' must be a non-empty list of integers")
         return seeds
 
     def request_points(self, message: Dict[str, Any]
-                       ) -> Tuple[List, int, int]:
-        """Validate one submit-shaped message (either wire format) into
-        ``(points, priority, check)``; raises
-        :class:`~repro.service.protocol.ProtocolError` on any bad
-        field."""
-        archs = proto.check_names(message, "architectures",
-                                  allowed=architecture_names())
-        workloads = proto.check_names(message, "workloads",
-                                      allowed=workload_names())
+                       ) -> Tuple[List, int]:
+        """Validate one submit body into ``(points, priority)``; raises
+        :class:`ProtocolError` on any bad field."""
+        archs = check_names(message, "architectures",
+                            allowed=architecture_names())
+        workloads = check_names(message, "workloads",
+                                allowed=workload_names())
         settings = self.request_settings(message)
         seeds = self.request_seeds(message, settings)
-        priority = proto.check_int(message, "priority", 0, -1_000_000)
+        priority = check_int(message, "priority", 0, -1_000_000)
         # ``check`` = invariant sweep period (0 = off, 1 = every access).
-        check = proto.check_int(message, "check", 0, 0)
+        check = check_int(message, "check", 0, 0)
         config = self._configs.setdefault(
             (settings.capacity_factor, check),
             self._build_config(settings.capacity_factor, check))
         points = grid_points(config, settings, archs, workloads, seeds)
-        return points, priority, check
+        return points, priority
 
     # -- job admission -------------------------------------------------------
 
-    def new_job_id(self) -> str:
-        return f"j{next(self._job_seq)}"
-
     def create_job(self, points: List, priority: int, owner: str,
-                   job_id: Optional[str] = None,
-                   keys: Optional[List[str]] = None
+                   job_id: str, keys: Optional[List[str]] = None
                    ) -> Tuple[Job, "Dict[str, Any]"]:
         """Build the (not yet admitted) job for a point list; returns
-        ``(job, unique_points)``. ``job_id`` lets a front end with
-        persistent identity (the gateway) reuse its stored id; ``keys``
-        are the points' cache keys when the caller already has them."""
-        if job_id is None:
-            job_id = self.new_job_id()
+        ``(job, unique_points)``. ``job_id`` is the gateway's stored id;
+        ``keys`` are the points' cache keys when the caller already has
+        them."""
         if job_id in self.jobs:
             raise ValueError(f"duplicate job id {job_id!r}")
         if keys is None:

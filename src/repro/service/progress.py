@@ -3,8 +3,9 @@
 A :class:`Job` is the client-visible unit: one submitted grid, mapped
 onto unique point tasks (possibly shared with other jobs — see
 :mod:`repro.service.queue`). It tracks a per-point state machine,
-aggregates it into the snapshot dict the ``status`` command returns,
-and fans state changes out to ``watch`` subscribers.
+aggregates it into the snapshot dict ``GET /v1/jobs/{id}`` returns,
+and fans state changes out to subscribers (the gateway's SSE stream
+and its write-behind store tracker).
 
 Progress is *sourced from the PR 2 stats registry*: every completed
 point's payload is the full :meth:`SimResult.to_dict` snapshot —
@@ -68,9 +69,9 @@ class Job:
         self._watchers: List[asyncio.Queue] = []
         self.cancelled = False
         #: Live server gauges (queue depth, busy workers) injected by the
-        #: service so status/watch snapshots carry them.
+        #: core so job snapshots and SSE frames carry them.
         self.gauges: Optional[Callable[[], Dict[str, Any]]] = None
-        #: Event-trace capture requested / exported (set by the service).
+        #: Event-trace capture requested / exported (set by the gateway).
         self.trace = False
         self.trace_path: Optional[str] = None
         self.trace_error: Optional[str] = None
@@ -190,7 +191,7 @@ class Job:
     # -- snapshots and watch streaming ---------------------------------------
 
     def snapshot(self, points: bool = False) -> Dict[str, Any]:
-        """The ``status``/``watch`` progress view of this job."""
+        """The progress view of this job (job route, SSE frames)."""
         out: Dict[str, Any] = {
             "job": self.id,
             "state": self.state,

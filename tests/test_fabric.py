@@ -261,7 +261,7 @@ class TestDefaultWorkers:
         assert default_workers() == 5
 
     def test_serve_workers_zero_is_a_clear_error(self, capsys):
-        assert cli_main(["serve", "--workers", "0"]) == 2
+        assert cli_main(["gateway", "serve", "--workers", "0"]) == 2
         err = capsys.readouterr().err
         assert "--workers must be >= 1" in err
 

@@ -14,7 +14,7 @@ The acceptance contract pinned here:
   the run cache backstops them;
 * the route table and the served OpenAPI document stay in sync;
 * malformed or oversized HTTP input gets a typed 4xx and never kills
-  the daemon.
+  the gateway.
 """
 
 import json
@@ -434,10 +434,11 @@ class TestGatewayHttp:
                     client.request("POST", "/healthz", {})
                 assert exc.value.status == 405
 
-    def test_routes_match_openapi_spec(self, tmp_path):
+    def test_routes_match_openapi_spec(self, tmp_path, monkeypatch):
         """Every path+method the OpenAPI document describes is actually
         served (nothing answers the routeless 404), and the route table
         has not grown past the document."""
+        monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "traces"))
         with gateway(tmp_path / "o.sqlite", cache_dir=tmp_path / "cache",
                      allow_anonymous=True) as handle:
             with GatewayClient(handle.base_url) as client:
@@ -453,9 +454,14 @@ class TestGatewayHttp:
                     ("/v1/jobs/{id}", "GET"), ("/v1/jobs/{id}", "DELETE"),
                     ("/v1/jobs/{id}/results", "GET"),
                     ("/v1/jobs/{id}/events", "GET"),
+                    ("/v1/jobs/{id}/trace", "GET"),
                 }
+                assert "trace" in spec["paths"]["/v1/jobs"]["post"][
+                    "requestBody"]["content"]["application/json"][
+                    "schema"]["properties"]
                 job = client.submit(["shared"], ["apache"], seeds=[5],
-                                    settings=SETTINGS_WIRE)["job"]
+                                    settings=SETTINGS_WIRE,
+                                    trace=True)["job"]
                 client.wait(job)
                 for path, method in sorted(documented):
                     url = path.replace("{id}", job)
@@ -519,6 +525,33 @@ class TestRecovery:
                 snap = client.wait(f"g{pk}")
                 assert snap["state"] == "failed"
                 assert "unrecoverable" in snap["errors"]["job"]
+
+    def test_trace_is_not_persisted_across_restart(self, tmp_path,
+                                                   monkeypatch):
+        """``trace`` is not a stored request field: the stored request
+        re-expands to an untraced job, and after a restart the trace
+        route answers 404 ``not-traced`` while results still serve."""
+        monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "traces"))
+        db = tmp_path / "t.sqlite"
+        with gateway(db, cache_dir=tmp_path / "cache",
+                     allow_anonymous=True) as handle:
+            with GatewayClient(handle.base_url) as client:
+                job = client.submit(["shared"], ["apache"], seeds=[43],
+                                    settings=SETTINGS_WIRE,
+                                    trace=True)["job"]
+                client.wait(job)
+                assert client.trace(job)["traceEvents"]
+        with JobStore.open(str(db)) as store:
+            request = json.loads(store.get_job(int(job[1:]))["request"])
+        assert "trace" not in request
+        with gateway(db, cache_dir=tmp_path / "cache",
+                     allow_anonymous=True) as handle:
+            with GatewayClient(handle.base_url) as client:
+                with pytest.raises(GatewayError) as exc:
+                    client.trace(job)
+                assert (exc.value.status, exc.value.code) == \
+                    (404, "not-traced")
+                assert client.results(job)["state"] == "done"
 
     def test_terminal_results_backstopped_by_run_cache(self, tmp_path):
         """A crash between the run-cache write and the store commit

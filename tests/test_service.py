@@ -1,5 +1,8 @@
-"""Simulation service: protocol, coalescing, backpressure, streaming,
-drain — integration-tested against real (tiny-fidelity) simulations.
+"""The service core's lifecycle contract, served through the gateway:
+coalescing, backpressure, streaming, tracing and drain —
+integration-tested against real (tiny-fidelity) simulations on an
+in-process :class:`GatewayThread`, bound to a unix socket unless a test
+says otherwise.
 
 The acceptance contract pinned here:
 
@@ -7,30 +10,36 @@ The acceptance contract pinned here:
   byte-identical to direct executor/runner runs;
 * duplicate in-flight submissions coalesce (executor sees fewer points
   than were requested);
-* a full queue rejects with the typed ``queue-full`` error instead of
-  blocking;
+* a full queue rejects with a typed ``queue-full`` 503 instead of
+  blocking, and leaves no stored job behind;
 * repeat submissions are answered from the persistent run cache without
   touching a worker;
-* ``drain`` completes with zero orphaned workers (asyncio tasks *and*
-  OS threads).
+* a drain completes with zero orphaned workers (asyncio tasks, OS
+  threads and fabric processes);
+* a traced submit exports a valid Chrome trace, one traced job at a
+  time;
+* ``esp-nuca submit`` talks to the gateway end to end.
 """
 
 import json
 import os
 import shutil
 import signal
+import socket
 import time
 import tempfile
 import threading
 
 import pytest
 
+from repro.gateway import (GatewayClient, GatewayConfig, GatewayError,
+                           GatewayThread, JobStore)
+from repro.gateway.client import parse_address, payloads_to_results
 from repro.harness.executor import Executor
 from repro.harness.runcache import RunCache
 from repro.harness.runner import RunSettings, grid_points
-from repro.service import (QueueFullError, ServiceClient, ServiceConfig,
-                           ServiceError, ServiceThread, payloads_to_results)
-from repro.service import protocol as proto
+from repro.service import ProtocolError, QueueFullError
+from repro.service.core import check_int
 
 QUICK = RunSettings(capacity_factor=8, refs_per_core=400,
                     warmup_refs_per_core=100, num_seeds=2)
@@ -109,20 +118,38 @@ def sock_dir():
 
 
 def service(sock_dir, executor, cache_dir=None, **config):
+    """An anonymous-access gateway on ``<sock_dir>/gw.sock`` whose rate
+    bucket never runs dry (these tests pin the core, not rate limits)."""
     if executor is None:
         cache = (RunCache(root=cache_dir) if cache_dir
                  else RunCache(enabled=False))
         executor = CountingExecutor(jobs=1, cache=cache)
-    config.setdefault("bind", ("unix", f"{sock_dir}/svc.sock"))
-    return ServiceThread(ServiceConfig(**config), executor=executor,
+    config.setdefault("bind", ("unix", f"{sock_dir}/gw.sock"))
+    config.setdefault("db_path", f"{sock_dir}/gw.sqlite")
+    config.setdefault("allow_anonymous", True)
+    config.setdefault("anon_rate_capacity", 1e6)
+    config.setdefault("anon_rate_refill", 1e6)
+    return GatewayThread(GatewayConfig(**config), executor=executor,
                          settings=QUICK)
 
 
-def connect(handle):
-    address = handle.address
-    spec = (f"unix:{address[1]}" if address[0] == "unix"
-            else f"{address[1]}:{address[2]}")
-    return ServiceClient.connect(spec, timeout=CLIENT_TIMEOUT)
+def connect(handle, api_key=None):
+    return GatewayClient(handle.base_url, api_key=api_key,
+                         timeout=CLIENT_TIMEOUT)
+
+
+def finish(client, job):
+    """Follow a job's SSE stream to its ``end`` frame."""
+    events = list(client.events(job))
+    assert events[-1]["event"] == "end", events[-1]
+    return events[-1]
+
+
+def wait_until(predicate, what, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, f"timed out waiting for {what}"
+        time.sleep(0.02)
 
 
 def canonical(payload):
@@ -139,46 +166,25 @@ def reference_payloads(archs, workloads, seeds):
     return [r.to_dict() for r in executor.run(points)]
 
 
-# -- protocol unit tests ------------------------------------------------------
+# -- request validation and addresses -----------------------------------------
 
 class TestProtocol:
-    def test_encode_decode_round_trip(self):
-        message = {"cmd": "submit", "architectures": ["esp-nuca"],
-                   "priority": 3}
-        assert proto.decode(proto.encode(message).strip()) == message
-
-    def test_decode_rejects_non_object(self):
-        with pytest.raises(proto.ProtocolError):
-            proto.decode(b"[1, 2, 3]")
-        with pytest.raises(proto.ProtocolError):
-            proto.decode(b"not json at all")
-
-    def test_unknown_command_rejected(self):
-        with pytest.raises(proto.ProtocolError, match="unknown cmd"):
-            proto.validate_request({"cmd": "reboot"})
-
-    def test_newer_protocol_version_rejected(self):
-        with pytest.raises(proto.ProtocolError, match="version"):
-            proto.validate_request(
-                {"cmd": "ping", "version": proto.PROTOCOL_VERSION + 1})
-
     def test_check_int_rejects_bool_and_below_minimum(self):
-        with pytest.raises(proto.ProtocolError):
-            proto.check_int({"n": True}, "n", 1, 0)
-        with pytest.raises(proto.ProtocolError):
-            proto.check_int({"n": -1}, "n", 1, 0)
-        assert proto.check_int({}, "n", 5, 0) == 5
+        with pytest.raises(ProtocolError):
+            check_int({"n": True}, "n", 1, 0)
+        with pytest.raises(ProtocolError):
+            check_int({"n": -1}, "n", 1, 0)
+        assert check_int({}, "n", 5, 0) == 5
 
     def test_parse_address_forms(self):
-        assert proto.parse_address("unix:/tmp/x.sock") == \
-            ("unix", "/tmp/x.sock")
-        assert proto.parse_address("example.org:1234") == \
+        assert parse_address("unix:/tmp/x.sock") == ("unix", "/tmp/x.sock")
+        assert parse_address("example.org:1234") == \
             ("tcp", "example.org", 1234)
-        assert proto.parse_address(":9000") == ("tcp", "127.0.0.1", 9000)
+        assert parse_address(":9000") == ("tcp", "127.0.0.1", 9000)
         with pytest.raises(ValueError):
-            proto.parse_address("host:not-a-port")
+            parse_address("host:not-a-port")
         with pytest.raises(ValueError):
-            proto.parse_address("unix:")
+            parse_address("unix:")
 
 
 # -- scheduler unit tests -----------------------------------------------------
@@ -260,39 +266,40 @@ class TestConcurrentClients:
         grids = [(ARCHS[i % 2:], WORKLOADS) for i in range(8)]
         requested = sum(len(a) * len(w) * len(SEEDS) for a, w in grids)
         collected = [None] * len(grids)
+        errors = []
 
-        with service(sock_dir, executor, workers=2, batch=4,
-                     queue_limit=64) as handle:
-            def run_client(i, archs, workloads):
-                with connect(handle) as client:
-                    reply = client.submit(archs, workloads, seeds=SEEDS,
-                                          settings=SETTINGS_WIRE, wait=False)
-                    end = None
-                    for event in client.watch(reply["job"]):
-                        end = event
-                    assert end["event"] == "end" and end["state"] == "done"
-                    collected[i] = end["results"]
+        try:
+            with service(sock_dir, executor, workers=2, batch=4,
+                         queue_limit=64) as handle:
+                def run_client(i, archs, workloads):
+                    try:
+                        with connect(handle) as client:
+                            reply = client.submit(archs, workloads,
+                                                  seeds=SEEDS,
+                                                  settings=SETTINGS_WIRE)
+                            end = finish(client, reply["job"])
+                            assert end["state"] == "done"
+                            collected[i] = end["results"]
+                    except BaseException as exc:  # surfaced below
+                        errors.append(exc)
 
-            threads = [threading.Thread(target=run_client, args=(i, a, w))
-                       for i, (a, w) in enumerate(grids)]
-            for thread in threads:
-                thread.start()
-            # Everything submitted before any simulation completes.
-            with connect(handle) as admin:
-                deadline = 60
-                while True:
-                    status = admin.status()
-                    pts = status["points"]
-                    if pts["requested"] >= requested:
-                        break
-                    deadline -= 1
-                    assert deadline > 0, f"submissions missing: {pts}"
-                    time.sleep(0.05)
-                assert pts["coalesced"] > 0
+                threads = [threading.Thread(target=run_client,
+                                            args=(i, a, w))
+                           for i, (a, w) in enumerate(grids)]
+                for thread in threads:
+                    thread.start()
+                # Everything submitted before any simulation completes.
+                with connect(handle) as admin:
+                    wait_until(lambda: admin.status()["points"]["requested"]
+                               >= requested, "all submissions")
+                    assert admin.status()["points"]["coalesced"] > 0
+                gate.set()
+                for thread in threads:
+                    thread.join(timeout=120)
+                    assert not thread.is_alive()
+        finally:
             gate.set()
-            for thread in threads:
-                thread.join(timeout=120)
-                assert not thread.is_alive()
+        assert not errors, errors
 
         # Coalescing: the executor saw each unique point once.
         unique = len({(a, w, s) for archs, wls in grids
@@ -310,14 +317,37 @@ class TestConcurrentClients:
         executor = CountingExecutor(jobs=1, cache=RunCache(enabled=False))
         with service(sock_dir, executor,
                      bind=("tcp", "127.0.0.1", 0)) as handle:
+            assert handle.base_url.startswith("http://127.0.0.1:")
             with connect(handle) as client:
-                assert client.ping()["pong"] is True
+                assert client.health()["ok"] is True
                 reply = client.submit(["shared"], ["apache"], seeds=[7],
-                                      settings=SETTINGS_WIRE, wait=True)
-                assert reply["state"] == "done"
-                result = payloads_to_results(reply["results"])[0]
+                                      settings=SETTINGS_WIRE)
+                end = finish(client, reply["job"])
+                assert end["state"] == "done"
+                result = payloads_to_results(end["results"])[0]
                 assert result.architecture == "shared"
                 assert result.cycles > 0
+
+    def test_unix_socket_serves_a_full_submit(self, sock_dir):
+        with service(sock_dir, None) as handle:
+            assert handle.base_url == f"unix:{sock_dir}/gw.sock"
+            with connect(handle) as client:
+                job = client.submit(["esp-nuca"], ["apache"], seeds=[7],
+                                    settings=SETTINGS_WIRE)["job"]
+                assert client.wait(job)["state"] == "done"
+                got = client.results(job)["results"]
+                assert canonical(got) == canonical(reference_payloads(
+                    ["esp-nuca"], ["apache"], [7]))
+                assert [j["job"] for j in client.jobs()] == [job]
+
+    def test_unix_socket_removed_on_exit_and_rebindable(self, sock_dir):
+        path = f"{sock_dir}/gw.sock"
+        for _ in range(2):  # the second gateway binds the same path
+            with service(sock_dir, None) as handle:
+                assert os.path.exists(path)
+                with connect(handle) as client:
+                    assert client.health()["ok"] is True
+            assert not os.path.exists(path)
 
 
 # -- integration: cache fast path ---------------------------------------------
@@ -328,15 +358,15 @@ class TestCacheFastPath:
         executor = CountingExecutor(jobs=1, cache=RunCache(root=cache_dir))
         with service(sock_dir, executor) as handle:
             with connect(handle) as client:
-                first = client.submit(["shared", "esp-nuca"], ["apache"],
-                                      seeds=SEEDS, settings=SETTINGS_WIRE,
-                                      wait=True)
+                job = client.submit(["shared", "esp-nuca"], ["apache"],
+                                    seeds=SEEDS,
+                                    settings=SETTINGS_WIRE)["job"]
+                first = finish(client, job)
                 assert first["state"] == "done"
                 executed = executor.points_seen
                 assert executed == 4
                 second = client.submit(["shared", "esp-nuca"], ["apache"],
-                                       seeds=SEEDS, settings=SETTINGS_WIRE,
-                                       wait=True)
+                                       seeds=SEEDS, settings=SETTINGS_WIRE)
                 assert second["state"] == "done"
                 assert second["cached"] == 4
                 assert executor.points_seen == executed  # no worker touched
@@ -347,13 +377,15 @@ class TestCacheFastPath:
         cache_dir = f"{sock_dir}/cache"
         with service(sock_dir, None, cache_dir=cache_dir) as handle:
             with connect(handle) as client:
-                first = client.submit(["shared"], ["apache"], seeds=[7],
-                                      settings=SETTINGS_WIRE, wait=True)
+                job = client.submit(["shared"], ["apache"], seeds=[7],
+                                    settings=SETTINGS_WIRE)["job"]
+                first = finish(client, job)
         executor = CountingExecutor(jobs=1, cache=RunCache(root=cache_dir))
-        with service(sock_dir, executor) as handle:
+        with service(sock_dir, executor,
+                     db_path=f"{sock_dir}/fresh.sqlite") as handle:
             with connect(handle) as client:
                 again = client.submit(["shared"], ["apache"], seeds=[7],
-                                      settings=SETTINGS_WIRE, wait=True)
+                                      settings=SETTINGS_WIRE)
                 assert again["cached"] == 1
                 assert executor.calls == 0
                 assert canonical(again["results"][0]) == \
@@ -372,30 +404,30 @@ class TestBackpressure:
                          queue_limit=2) as handle:
                 with connect(handle) as client:
                     blocker = client.submit(["shared"], ["apache"],
-                                            seeds=[1], wait=False,
+                                            seeds=[1],
                                             settings=SETTINGS_WIRE)
                     # Wait until the blocker occupies the worker, so the
                     # backlog below is exactly deterministic.
-                    deadline = 100
-                    while True:
-                        snap = client.status(blocker["job"])
-                        if snap["counts"]["running"] == 1:
-                            break
-                        deadline -= 1
-                        assert deadline > 0
-                        time.sleep(0.05)
+                    wait_until(lambda: client.job(blocker["job"])
+                               ["counts"]["running"] == 1, "blocker running")
                     client.submit(["shared"], ["apache"], seeds=[2],
-                                  wait=False, settings=SETTINGS_WIRE)
+                                  settings=SETTINGS_WIRE)
                     client.submit(["shared"], ["apache"], seeds=[3],
-                                  wait=False, settings=SETTINGS_WIRE)
-                    with pytest.raises(ServiceError) as exc:
+                                  settings=SETTINGS_WIRE)
+                    with pytest.raises(GatewayError) as exc:
                         client.submit(["shared"], ["apache"], seeds=[4],
-                                      wait=False, settings=SETTINGS_WIRE)
-                    assert exc.value.code == "queue-full"
+                                      settings=SETTINGS_WIRE)
+                    assert (exc.value.status, exc.value.code) == \
+                        (503, "queue-full")
+                    assert exc.value.retry_after >= 1
+                    # The rejected job left no stored row behind (it
+                    # must never be "recovered" after a restart).
+                    assert len(client.jobs()) == 3
+                    assert sum(client.status()["store"]["jobs"].values()) \
+                        == 3
                     # The reject left the queue intact; coalescing onto
                     # queued work still succeeds (needs no new slot).
                     joined = client.submit(["shared"], ["apache"], seeds=[3],
-                                           wait=False,
                                            settings=SETTINGS_WIRE)
                     assert joined["coalesced"] == 1
                     gate.set()
@@ -403,24 +435,29 @@ class TestBackpressure:
             gate.set()
 
     def test_per_client_job_limit(self, sock_dir):
+        """The gateway's per-tenant concurrent-job quota: the anonymous
+        tenant is capped, a keyed tenant has its own allowance."""
         gate = threading.Event()
         executor = CountingExecutor(jobs=1, cache=RunCache(enabled=False),
                                     gate=gate)
+        with JobStore.open(f"{sock_dir}/gw.sqlite") as store:
+            _, key = store.add_tenant("other", rate_capacity=100,
+                                      rate_refill=50)
         try:
             with service(sock_dir, executor, workers=1, batch=1,
-                         client_jobs=2, queue_limit=64) as handle:
+                         anon_max_jobs=2, queue_limit=64) as handle:
                 with connect(handle) as client:
                     for seed in (1, 2):
                         client.submit(["shared"], ["apache"], seeds=[seed],
-                                      wait=False, settings=SETTINGS_WIRE)
-                    with pytest.raises(ServiceError) as exc:
+                                      settings=SETTINGS_WIRE)
+                    with pytest.raises(GatewayError) as exc:
                         client.submit(["shared"], ["apache"], seeds=[3],
-                                      wait=False, settings=SETTINGS_WIRE)
-                    assert exc.value.code == "client-limit"
-                    # A second connection has its own allowance.
-                    with connect(handle) as other:
+                                      settings=SETTINGS_WIRE)
+                    assert (exc.value.status, exc.value.code) == \
+                        (429, "quota-jobs")
+                    with connect(handle, api_key=key) as other:
                         other.submit(["shared"], ["apache"], seeds=[3],
-                                     wait=False, settings=SETTINGS_WIRE)
+                                     settings=SETTINGS_WIRE)
                     gate.set()
         finally:
             gate.set()
@@ -428,18 +465,23 @@ class TestBackpressure:
     def test_bad_requests_are_typed(self, sock_dir):
         with service(sock_dir, None) as handle:
             with connect(handle) as client:
-                with pytest.raises(ServiceError) as exc:
+                with pytest.raises(GatewayError) as exc:
                     client.submit(["no-such-arch"], ["apache"], seeds=[1])
-                assert exc.value.code == "bad-request"
-                with pytest.raises(ServiceError) as exc:
-                    client.status(job="j999")
-                assert exc.value.code == "unknown-job"
-                with pytest.raises(ServiceError) as exc:
-                    client.request({"cmd": "submit",
-                                    "architectures": ["shared"],
-                                    "workloads": ["apache"],
-                                    "settings": {"bogus_knob": 3}})
-                assert exc.value.code == "bad-request"
+                assert (exc.value.status, exc.value.code) == \
+                    (400, "bad-request")
+                with pytest.raises(GatewayError) as exc:
+                    client.job("g999")
+                assert (exc.value.status, exc.value.code) == \
+                    (404, "unknown-job")
+                for body in ({"architectures": ["shared"],
+                              "workloads": ["apache"],
+                              "settings": {"bogus_knob": 3}},
+                             {"architectures": ["shared"],
+                              "workloads": ["apache"], "trace": "yes"}):
+                    with pytest.raises(GatewayError) as exc:
+                        client.request("POST", "/v1/jobs", body)
+                    assert (exc.value.status, exc.value.code) == \
+                        (400, "bad-request")
 
 
 # -- integration: watch, cancel, drain ----------------------------------------
@@ -449,9 +491,8 @@ class TestLifecycle:
         with service(sock_dir, None) as handle:
             with connect(handle) as client:
                 reply = client.submit(["shared", "private"], ["apache"],
-                                      seeds=[7], settings=SETTINGS_WIRE,
-                                      wait=False)
-                events = list(client.watch(reply["job"]))
+                                      seeds=[7], settings=SETTINGS_WIRE)
+                events = list(client.events(reply["job"]))
         assert events[-1]["event"] == "end"
         assert all(e["event"] == "progress" for e in events[:-1])
         done_counts = [e["counts"]["done"] for e in events[:-1]]
@@ -472,18 +513,18 @@ class TestLifecycle:
                          queue_limit=64) as handle:
                 with connect(handle) as client:
                     blocker = client.submit(["shared"], ["apache"],
-                                            seeds=[1], wait=False,
+                                            seeds=[1],
                                             settings=SETTINGS_WIRE)
                     victim = client.submit(["private"], ["apache"],
-                                           seeds=[2], wait=False,
+                                           seeds=[2],
                                            settings=SETTINGS_WIRE)
                     cancelled = client.cancel(victim["job"])
                     assert cancelled["state"] == "cancelled"
                     gate.set()
-                    end = list(client.watch(blocker["job"]))[-1]
-                    assert end["state"] == "done"
-                    drained = client.drain()
+                    assert finish(client, blocker["job"])["state"] == "done"
+                drained = handle.drain()
             assert drained["workers_alive"] == 0
+            assert drained["store"] == {"done": 1, "cancelled": 1}
             # The cancelled point never ran.
             assert ("private", "apache", 2) not in executor.point_log
         finally:
@@ -493,13 +534,15 @@ class TestLifecycle:
         executor = CountingExecutor(jobs=1, cache=RunCache(enabled=False))
         with service(sock_dir, executor, workers=3) as handle:
             with connect(handle) as client:
-                client.submit(["shared"], ["apache"], seeds=[5],
-                              wait=True, settings=SETTINGS_WIRE)
-                drained = client.drain()
+                job = client.submit(["shared"], ["apache"], seeds=[5],
+                                    settings=SETTINGS_WIRE)["job"]
+                assert client.wait(job)["state"] == "done"
+            drained = handle.drain()
             assert drained["drained"] is True
             assert drained["workers_alive"] == 0
             assert drained["executed_points"] == 1
             assert "cache" in drained
+            assert handle.drain() is None  # already stopped
         # No simulation threads survive the drain.
         assert not [t for t in threading.enumerate()
                     if t.name.startswith("esp-nuca-sim")]
@@ -518,22 +561,15 @@ class TestLifecycle:
             return sorted(name for name in os.listdir(gate_dir)
                           if name.startswith("started-"))
 
-        def wait_for(count, timeout=60):
-            deadline = time.monotonic() + timeout
-            while time.monotonic() < deadline:
-                if len(markers()) >= count:
-                    return True
-                time.sleep(0.02)
-            return False
-
         executor = GatedFabricExecutor(jobs=2, cache=RunCache(enabled=False))
         with service(sock_dir, executor, workers=1, batch=4) as handle:
             with connect(handle) as client:
                 job = client.submit(["shared", "private"], ["apache"],
-                                    seeds=[7], wait=False,
+                                    seeds=[7],
                                     settings=SETTINGS_WIRE)["job"]
                 # two points -> two fabric jobs, one per worker process
-                assert wait_for(2), "both workers should start a job"
+                wait_until(lambda: len(markers()) >= 2,
+                           "both workers starting a job", timeout=60)
                 pids = {int(name.split("-")[1]) for name in markers()}
                 assert len(pids) == 2
                 status = client.status()
@@ -541,11 +577,12 @@ class TestLifecycle:
                 assert status["procs_busy"] == 2
                 victim = min(pids)
                 os.kill(victim, signal.SIGKILL)
-                assert wait_for(3), "crashed job should restart"
+                wait_until(lambda: len(markers()) >= 3,
+                           "the crashed job restarting", timeout=60)
                 with open(os.path.join(gate_dir, "release"), "w",
                           encoding="utf-8"):
                     pass
-                end = list(client.watch(job))[-1]
+                end = finish(client, job)
                 assert end["state"] == "done"
                 # byte-identical to a direct serial run despite the crash
                 assert ([canonical(p) for p in end["results"]]
@@ -554,10 +591,13 @@ class TestLifecycle:
                 stats = executor.fabric_stats()
                 assert stats["requeued"] == 1
                 assert stats["crashed"] == 1
-                drained = client.drain()
+            drained = handle.drain()
             assert drained["workers_alive"] == 0
-        # the drain barrier tore the fabric down with the daemon
+        # the drain barrier tore the fabric down with the gateway
         assert executor.fabric_stats() is None
+        for pid in pids - {victim}:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
     def test_submissions_while_draining_get_typed_error(self, sock_dir):
         gate = threading.Event()
@@ -567,24 +607,20 @@ class TestLifecycle:
             with service(sock_dir, executor, workers=1, batch=1) as handle:
                 with connect(handle) as client:
                     client.submit(["shared"], ["apache"], seeds=[1],
-                                  wait=False, settings=SETTINGS_WIRE)
+                                  settings=SETTINGS_WIRE)
                     drain_reply = {}
-                    drainer = connect(handle)
                     thread = threading.Thread(
-                        target=lambda: drain_reply.update(drainer.drain()))
+                        target=lambda: drain_reply.update(handle.drain()))
                     thread.start()
-                    deadline = 100
-                    while not client.ping()["draining"]:
-                        deadline -= 1
-                        assert deadline > 0
-                        time.sleep(0.05)
-                    with pytest.raises(ServiceError) as exc:
+                    wait_until(lambda: client.health()["draining"],
+                               "the drain to begin")
+                    with pytest.raises(GatewayError) as exc:
                         client.submit(["shared"], ["apache"], seeds=[9],
-                                      wait=False, settings=SETTINGS_WIRE)
-                    assert exc.value.code == "draining"
+                                      settings=SETTINGS_WIRE)
+                    assert (exc.value.status, exc.value.code) == \
+                        (503, "draining")
                     gate.set()
                     thread.join(timeout=60)
-                    drainer.close()
                     assert drain_reply.get("drained") is True
         finally:
             gate.set()
@@ -596,9 +632,9 @@ class TestTracingAndGauges:
     def test_snapshots_carry_queue_and_worker_gauges(self, sock_dir):
         with service(sock_dir, None, workers=1, batch=1) as handle:
             with connect(handle) as client:
-                reply = client.submit(["shared"], ["apache"], seeds=[3],
-                                      wait=True, settings=SETTINGS_WIRE)
-                gauges = reply["gauges"]
+                job = client.submit(["shared"], ["apache"], seeds=[3],
+                                    settings=SETTINGS_WIRE)["job"]
+                gauges = client.wait(job)["gauges"]
                 assert set(gauges) >= {"queue_backlog", "queue_inflight",
                                        "queue_limit", "workers_busy",
                                        "workers", "procs_busy", "procs"}
@@ -616,9 +652,8 @@ class TestTracingAndGauges:
         with service(sock_dir, None, workers=1, batch=1) as handle:
             with connect(handle) as client:
                 job = client.submit(["shared"], ["apache"], seeds=[4],
-                                    wait=False,
                                     settings=SETTINGS_WIRE)["job"]
-                progress = [e for e in client.watch(job)
+                progress = [e for e in client.events(job)
                             if e.get("event") == "progress"]
                 assert progress
                 assert all("gauges" in e for e in progress)
@@ -632,16 +667,18 @@ class TestTracingAndGauges:
         monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "traces"))
         with service(sock_dir, None, workers=1, batch=1) as handle:
             with connect(handle) as client:
-                reply = client.submit(["esp-nuca"], ["apache"], seeds=[5],
-                                      wait=True, trace=True,
-                                      settings=SETTINGS_WIRE)
-                assert reply["state"] == "done"
-                assert reply["trace"] is True
-                assert reply.get("trace_error") is None
-                path = reply["trace_path"]
+                job = client.submit(["esp-nuca"], ["apache"], seeds=[5],
+                                    trace=True,
+                                    settings=SETTINGS_WIRE)["job"]
+                snap = client.wait(job)
+                assert snap["state"] == "done"
+                assert snap["trace"] is True
+                assert snap.get("trace_error") is None
+                payload = client.trace(job)
+                with open(snap["trace_path"], encoding="utf-8") as handle_:
+                    assert json.load(handle_) == payload
         # The tracer was uninstalled when the job finished.
         assert obs.active() is obs.NULL_TRACER
-        payload = json.loads(open(path).read())
         assert validate_chrome(payload) == []
         # Lifecycle spans + gauges counters on the service track.
         service_events = events_of_category(payload, "service")
@@ -663,80 +700,75 @@ class TestTracingAndGauges:
             with service(sock_dir, executor, workers=1, batch=1) as handle:
                 with connect(handle) as client:
                     first = client.submit(["shared"], ["apache"], seeds=[6],
-                                          wait=False, trace=True,
-                                          settings=SETTINGS_WIRE)
-                    with pytest.raises(ServiceError) as exc:
+                                          trace=True,
+                                          settings=SETTINGS_WIRE)["job"]
+                    with pytest.raises(GatewayError) as exc:
                         client.submit(["shared"], ["apache"], seeds=[8],
-                                      wait=False, trace=True,
-                                      settings=SETTINGS_WIRE)
-                    assert exc.value.code == "bad-request"
+                                      trace=True, settings=SETTINGS_WIRE)
+                    assert (exc.value.status, exc.value.code) == \
+                        (400, "bad-request")
+                    with pytest.raises(GatewayError) as exc:
+                        client.trace(first)
+                    assert (exc.value.status, exc.value.code) == \
+                        (409, "not-done")
+                    untraced = client.submit(["shared"], ["apache"],
+                                             seeds=[8],
+                                             settings=SETTINGS_WIRE)["job"]
                     gate.set()
-                    end = list(client.watch(first["job"]))[-1]
-                    assert end["event"] == "end"
-                    assert end["trace_path"]
+                    assert finish(client, first)["state"] == "done"
+                    assert client.trace(first)["traceEvents"]
+                    client.wait(untraced)
+                    with pytest.raises(GatewayError) as exc:
+                        client.trace(untraced)
+                    assert (exc.value.status, exc.value.code) == \
+                        (404, "not-traced")
                     # The slot is free again for a new traced job.
                     again = client.submit(["shared"], ["apache"], seeds=[9],
-                                          wait=True, trace=True,
-                                          settings=SETTINGS_WIRE)
-                    assert again["trace_path"]
+                                          trace=True,
+                                          settings=SETTINGS_WIRE)["job"]
+                    assert client.wait(again)["trace_path"]
+                    assert client.trace(again)["traceEvents"]
         finally:
             gate.set()
 
 
-# -- protocol hardening: hostile and broken clients ---------------------------
+# -- hostile and broken clients on the unix socket ----------------------------
 
 class TestProtocolHardening:
     """A hostile or broken client must get a typed error (where a reply
-    is still possible) and must never wedge a worker or kill the daemon:
-    every test ends by proving a fresh connection still does real work."""
+    is still possible) and must never wedge a worker or kill the
+    gateway: every test ends by proving a fresh connection still does
+    real work."""
 
     def _raw_connect(self, handle):
-        import socket
-
-        address = handle.address
-        if address[0] == "unix":
-            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            sock.connect(address[1])
-        else:
-            sock = socket.create_connection((address[1], address[2]))
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        sock.connect(handle.address[1])
         sock.settimeout(CLIENT_TIMEOUT)
         return sock
 
     def _still_serving(self, handle):
         with connect(handle) as client:
-            assert client.ping()["pong"] is True
-            reply = client.submit(["shared"], ["apache"], seeds=[77],
-                                  wait=True, settings=SETTINGS_WIRE)
-            assert reply["state"] == "done"
+            job = client.submit(["shared"], ["apache"], seeds=[77],
+                                settings=SETTINGS_WIRE)["job"]
+            assert client.wait(job)["state"] == "done"
 
     def test_malformed_json_line_gets_typed_error(self, sock_dir):
         with service(sock_dir, None) as handle:
             sock = self._raw_connect(handle)
             try:
-                sock.sendall(b'{"cmd": "submit", not json}\n')
-                reply = json.loads(sock.makefile("rb").readline())
-                assert reply["ok"] is False
-                assert reply["error"]["code"] == "bad-request"
-            finally:
-                sock.close()
-            self._still_serving(handle)
-
-    def test_oversized_request_line_rejected_not_buffered(self, sock_dir):
-        with service(sock_dir, None) as handle:
-            sock = self._raw_connect(handle)
-            try:
-                # No newline anywhere: the server must give up once the
-                # line exceeds MAX_LINE_BYTES instead of buffering
-                # forever, reply with a typed error, and drop the
-                # connection.
-                blob = b" " * (proto.MAX_LINE_BYTES + 64)
-                sock.sendall(blob)
+                body = b'{"architectures": ["shared"], not json}'
+                sock.sendall(b"POST /v1/jobs HTTP/1.1\r\nHost: x\r\n"
+                             b"Content-Length: %d\r\n\r\n%s"
+                             % (len(body), body))
                 stream = sock.makefile("rb")
-                reply = json.loads(stream.readline())
-                assert reply["ok"] is False
-                assert reply["error"]["code"] == "bad-request"
-                assert "too long" in reply["error"]["message"]
-                assert stream.readline() == b""  # server closed it
+                assert b" 400 " in stream.readline()
+                length = 0
+                for line in iter(stream.readline, b"\r\n"):
+                    name, _, value = line.decode().partition(":")
+                    if name.lower() == "content-length":
+                        length = int(value)
+                reply = json.loads(stream.read(length))
+                assert reply["error"]["code"] == "bad-json"
             finally:
                 sock.close()
             self._still_serving(handle)
@@ -749,25 +781,83 @@ class TestProtocolHardening:
             with service(sock_dir, executor, workers=1, batch=1) as handle:
                 with connect(handle) as client:
                     job = client.submit(["shared"], ["apache"], seeds=[21],
-                                        wait=False,
                                         settings=SETTINGS_WIRE)["job"]
                 # A raw watcher that vanishes mid-stream (first snapshot
                 # arrives, then the socket dies without a goodbye).
                 sock = self._raw_connect(handle)
+                sock.sendall(b"GET /v1/jobs/" + job.encode() +
+                             b"/events HTTP/1.1\r\nHost: x\r\n\r\n")
                 stream = sock.makefile("rb")
-                sock.sendall(json.dumps(
-                    {"cmd": "watch", "job": job}).encode() + b"\n")
-                first = json.loads(stream.readline())
-                assert first["event"] == "progress"
+                while b"data: " not in stream.readline():
+                    pass
                 sock.close()  # abrupt: no unsubscribe, mid-subscription
                 gate.set()
                 # The job is unaffected and a healthy client still sees
                 # it complete with results.
                 with connect(handle) as client:
-                    end = list(client.watch(job))[-1]
-                    assert end["event"] == "end"
+                    end = finish(client, job)
                     assert end["state"] == "done"
                     assert len(end["results"]) == 1
                 self._still_serving(handle)
         finally:
             gate.set()
+
+
+# -- the submit CLI -----------------------------------------------------------
+
+class TestSubmitCli:
+    def test_submit_json_and_trace_out(self, sock_dir, tmp_path,
+                                       monkeypatch, capsys):
+        """``esp-nuca submit`` against an in-process gateway on a unix
+        socket: ``--json -`` prints byte-identical results, ``--trace
+        --out`` saves the job's Chrome trace fetched over HTTP."""
+        from repro.common.rng import perturbed_seeds
+        from repro.harness.cli import main as cli_main
+        from repro.obs.export import validate_chrome
+
+        monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "traces"))
+        fidelity = ["--refs", str(QUICK.refs_per_core),
+                    "--warmup", str(QUICK.warmup_refs_per_core),
+                    "--scale", str(QUICK.capacity_factor), "--seeds", "1"]
+        with service(sock_dir, None) as handle:
+            base = ["submit", "--http", handle.base_url,
+                    "--workload", "apache"] + fidelity
+            assert cli_main(base + ["--arch", "shared,esp-nuca",
+                                    "--json", "-"]) == 0
+            printed = json.loads(capsys.readouterr().out)
+            seeds = perturbed_seeds(QUICK.base_seed, 1)
+            assert canonical(printed) == canonical(reference_payloads(
+                ["shared", "esp-nuca"], ["apache"], seeds))
+
+            out = str(tmp_path / "job.trace.json")
+            assert cli_main(base + ["--arch", "private", "--trace",
+                                    "--out", out]) == 0
+            assert f"to {out}" in capsys.readouterr().out
+        with open(out, encoding="utf-8") as handle_:
+            assert validate_chrome(json.load(handle_)) == []
+
+    def test_submit_watch_and_no_wait(self, sock_dir, capsys):
+        """``--watch`` prints progress frames before the results;
+        ``--no-wait`` returns at admission with the job id; an
+        unreachable gateway is a clean error, not a traceback."""
+        from repro.harness.cli import main as cli_main
+
+        fidelity = ["--refs", str(QUICK.refs_per_core),
+                    "--warmup", str(QUICK.warmup_refs_per_core),
+                    "--scale", str(QUICK.capacity_factor), "--seeds", "1",
+                    "--workload", "apache"]
+        with service(sock_dir, None) as handle:
+            base = ["submit", "--http", handle.base_url] + fidelity
+            assert cli_main(base + ["--arch", "shared", "--watch"]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[0].startswith("[g1] ")
+            assert "point(s) done" in lines[0]
+            assert any(line.startswith("job g1: done, 1 result(s)")
+                       for line in lines)
+            assert cli_main(base + ["--arch", "private", "--no-wait"]) == 0
+            assert capsys.readouterr().out.startswith("job g2: ")
+            with connect(handle) as client:
+                assert client.wait("g2")["state"] == "done"
+        assert cli_main(["submit", "--http", f"unix:{sock_dir}/gone.sock"]
+                        + fidelity) == 1
+        assert "cannot reach the gateway" in capsys.readouterr().err
