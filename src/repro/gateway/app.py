@@ -22,10 +22,12 @@ fast path and worker fabric) plus —
   concurrent-job / queue-depth quotas bound what any one tenant can
   occupy (typed 429) — all before the core's own all-or-nothing
   queue admission (typed 503 when the shared queue itself is full);
-* **event tracing**: a submit with ``"trace": true`` captures that job
-  with the process-global tracer (one traced job at a time), exports
-  it to ``REPRO_TRACE_DIR`` and serves it at ``GET
-  /v1/jobs/{id}/trace``.
+* **event tracing** (``allow_anonymous`` gateways only): a submit with
+  ``"trace": true`` captures that job with the process-global tracer
+  (one traced job at a time), exports it to ``REPRO_TRACE_DIR`` and
+  serves it at ``GET /v1/jobs/{id}/trace``. The capture records every
+  job the gateway runs meanwhile, whoever owns it, so a keyed
+  (multi-tenant) gateway refuses traced submits.
 
 Request→response behavior is defined by ``GET /openapi.json``
 (:mod:`repro.gateway.openapi`); docs/gateway.md is the narrative
@@ -499,7 +501,9 @@ class Gateway:
             os.makedirs(directory, exist_ok=True)
             write_chrome(tracer, path)
         except OSError as exc:
-            job.trace_error = f"trace export failed: {exc}"
+            self.log.warning("trace export failed", job=job.id,
+                             path=path, error=str(exc))
+            job.trace_error = "trace export failed (see the gateway log)"
         else:
             job.trace_path = path
 
@@ -847,11 +851,16 @@ class Gateway:
             raise self._reject(tenant, "bad-request", 400, "bad-request",
                                f"field 'trace' must be a boolean, "
                                f"got {trace!r}")
-        if trace and self._trace_job is not None:
+        if trace and not self.config.allow_anonymous:
             raise self._reject(
                 tenant, "bad-request", 400, "bad-request",
-                f"job {self._trace_job} is already being traced "
-                f"(one traced job at a time)")
+                "traced submits need a gateway started with "
+                "--allow-anonymous (a trace records every tenant's "
+                "concurrent work)")
+        if trace and self._trace_job is not None:
+            raise self._reject(tenant, "bad-request", 400, "bad-request",
+                               "another job is already being traced "
+                               "(one traced job at a time)")
         active = self.core.active_jobs(owner=tenant.owner)
         if active >= tenant.max_jobs:
             raise self._reject(
@@ -1206,7 +1215,7 @@ class GatewayThread:
             raise RuntimeError("gateway failed to start within 30s")
         return self
 
-    def drain(self, timeout: float = 120.0) -> Optional[Dict[str, Any]]:
+    def drain(self) -> Optional[Dict[str, Any]]:
         """Gracefully stop the gateway from any thread
         (:meth:`Gateway.shutdown`: every job resolves, dispatchers and
         fabric processes stop), join its thread, and return the drain
@@ -1217,12 +1226,12 @@ class GatewayThread:
                 and loop is not None and not loop.is_closed()):
             try:
                 summary = asyncio.run_coroutine_threadsafe(
-                    self.gateway.shutdown(), loop).result(timeout=timeout)
+                    self.gateway.shutdown(), loop).result(timeout=120)
             except (RuntimeError, concurrent.futures.TimeoutError,
                     concurrent.futures.CancelledError):
                 pass  # another drain stopped the loop first
         if self._thread is not None:
-            self._thread.join(timeout=timeout)
+            self._thread.join(timeout=120)
         return summary
 
     def __exit__(self, *exc_info) -> None:

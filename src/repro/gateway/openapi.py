@@ -41,9 +41,12 @@ _SUBMIT = {"type": "object",
                "priority": {"type": "integer"},
                "check": {"type": "integer"},
                "trace": {"type": "boolean", "description":
-                         "capture this job's event trace (one traced "
-                         "job at a time; not persisted, so a recovered "
-                         "job re-runs untraced)"},
+                         "capture this job's event trace. Accepted "
+                         "only on an allow-anonymous gateway: the "
+                         "trace records every job the gateway runs "
+                         "meanwhile, whoever owns it. One traced job at "
+                         "a time; not persisted, so a recovered job "
+                         "re-runs untraced"},
            }}
 
 
@@ -147,7 +150,8 @@ def spec() -> Dict[str, Any]:
                     "submit a simulation grid",
                     {"201": _json_resp("admitted job snapshot", _JOB),
                      "400": _json_resp(
-                         "invalid grid, or a traced job is already "
+                         "invalid grid, trace on a keyed-only "
+                         "gateway, or a traced job is already "
                          "running", _ERROR),
                      "401": err, "403": err,
                      "429": _json_resp(

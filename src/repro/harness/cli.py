@@ -107,7 +107,8 @@ def _build_parser() -> argparse.ArgumentParser:
                               "= every access)")
     tracing.add_argument("--trace", action="store_true",
                          help="submit: ask the gateway to capture an event "
-                              "trace of this job and save it to --out")
+                              "trace of this job and save it to --out "
+                              "(with --no-wait: print where to fetch it)")
     parser.add_argument("--engine", choices=list(ENGINES), default=None,
                         help="simulation engine (default $REPRO_ENGINE or "
                              f"{DEFAULT_ENGINE!r}; both produce identical "
@@ -489,6 +490,9 @@ def _submit(args: argparse.Namespace) -> int:
             if args.no_wait:
                 print(f"job {job}: {reply['state']} "
                       f"(GET /v1/jobs/{job} for progress)")
+                if args.trace:
+                    print(f"its event trace is served at GET "
+                          f"/v1/jobs/{job}/trace once the job ends")
                 return 0
             final = reply
             for event in client.events(job):

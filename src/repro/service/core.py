@@ -320,16 +320,13 @@ class ServiceCore:
     # -- job admission -------------------------------------------------------
 
     def create_job(self, points: List, priority: int, owner: str,
-                   job_id: str, keys: Optional[List[str]] = None
+                   job_id: str, keys: List[str]
                    ) -> Tuple[Job, "Dict[str, Any]"]:
         """Build the (not yet admitted) job for a point list; returns
         ``(job, unique_points)``. ``job_id`` is the gateway's stored id;
-        ``keys`` are the points' cache keys when the caller already has
-        them."""
+        ``keys`` are the points' cache keys, in order."""
         if job_id in self.jobs:
             raise ValueError(f"duplicate job id {job_id!r}")
-        if keys is None:
-            keys = [point.key for point in points]
         self.points_requested += len(points)
         order: List[str] = []
         unique: Dict[str, Any] = {}

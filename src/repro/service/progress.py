@@ -205,8 +205,6 @@ class Job:
             out["gauges"] = self.gauges()
         if self.trace:
             out["trace"] = True
-            if self.trace_path is not None:
-                out["trace_path"] = self.trace_path
             if self.trace_error is not None:
                 out["trace_error"] = self.trace_error
         if self.errors:

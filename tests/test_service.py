@@ -674,9 +674,11 @@ class TestTracingAndGauges:
                 assert snap["state"] == "done"
                 assert snap["trace"] is True
                 assert snap.get("trace_error") is None
+                # The server-side export path is not shown to clients.
+                assert "trace_path" not in snap
                 payload = client.trace(job)
-                with open(snap["trace_path"], encoding="utf-8") as handle_:
-                    assert json.load(handle_) == payload
+        exported = tmp_path / "traces" / f"{job}.trace.json"
+        assert json.loads(exported.read_text(encoding="utf-8")) == payload
         # The tracer was uninstalled when the job finished.
         assert obs.active() is obs.NULL_TRACER
         assert validate_chrome(payload) == []
@@ -707,6 +709,8 @@ class TestTracingAndGauges:
                                       trace=True, settings=SETTINGS_WIRE)
                     assert (exc.value.status, exc.value.code) == \
                         (400, "bad-request")
+                    # The reject does not name the traced job.
+                    assert first not in str(exc.value)
                     with pytest.raises(GatewayError) as exc:
                         client.trace(first)
                     assert (exc.value.status, exc.value.code) == \
@@ -726,10 +730,29 @@ class TestTracingAndGauges:
                     again = client.submit(["shared"], ["apache"], seeds=[9],
                                           trace=True,
                                           settings=SETTINGS_WIRE)["job"]
-                    assert client.wait(again)["trace_path"]
+                    assert client.wait(again)["trace"] is True
                     assert client.trace(again)["traceEvents"]
         finally:
             gate.set()
+
+    def test_keyed_gateway_refuses_traced_submits(self, sock_dir):
+        """A trace records every tenant's concurrent work, so only an
+        ``allow_anonymous`` (dev/CI) gateway accepts ``trace``."""
+        db = f"{sock_dir}/gw.sqlite"
+        with JobStore.open(db) as store:
+            _, key = store.add_tenant("alice")
+        with service(sock_dir, None, allow_anonymous=False) as handle:
+            with connect(handle, api_key=key) as client:
+                with pytest.raises(GatewayError) as exc:
+                    client.submit(["shared"], ["apache"], seeds=[5],
+                                  trace=True, settings=SETTINGS_WIRE)
+                assert (exc.value.status, exc.value.code) == \
+                    (400, "bad-request")
+                assert "--allow-anonymous" in str(exc.value)
+                # Untraced submits from the same tenant are unaffected.
+                job = client.submit(["shared"], ["apache"], seeds=[5],
+                                    settings=SETTINGS_WIRE)["job"]
+                assert client.wait(job)["state"] == "done"
 
 
 # -- hostile and broken clients on the unix socket ----------------------------
@@ -836,11 +859,14 @@ class TestSubmitCli:
         with open(out, encoding="utf-8") as handle_:
             assert validate_chrome(json.load(handle_)) == []
 
-    def test_submit_watch_and_no_wait(self, sock_dir, capsys):
+    def test_submit_watch_and_no_wait(self, sock_dir, tmp_path,
+                                      monkeypatch, capsys):
         """``--watch`` prints progress frames before the results;
         ``--no-wait`` returns at admission with the job id; an
         unreachable gateway is a clean error, not a traceback."""
         from repro.harness.cli import main as cli_main
+
+        monkeypatch.setenv("REPRO_TRACE_DIR", str(tmp_path / "traces"))
 
         fidelity = ["--refs", str(QUICK.refs_per_core),
                     "--warmup", str(QUICK.warmup_refs_per_core),
@@ -858,6 +884,15 @@ class TestSubmitCli:
             assert capsys.readouterr().out.startswith("job g2: ")
             with connect(handle) as client:
                 assert client.wait("g2")["state"] == "done"
+            # A traced --no-wait submit says where its trace will be.
+            assert cli_main(base + ["--arch", "esp-nuca", "--trace",
+                                    "--no-wait"]) == 0
+            out = capsys.readouterr().out
+            assert out.startswith("job g3: ")
+            assert "GET /v1/jobs/g3/trace once the job ends" in out
+            with connect(handle) as client:
+                assert client.wait("g3")["state"] == "done"
+                assert client.trace("g3")["traceEvents"]
         assert cli_main(["submit", "--http", f"unix:{sock_dir}/gone.sock"]
                         + fidelity) == 1
         assert "cannot reach the gateway" in capsys.readouterr().err
