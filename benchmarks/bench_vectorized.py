@@ -8,12 +8,11 @@ Four sections, all asserting byte-identical results between engines
    point simulated once per engine, timed and compared. The cold-grid
    workloads are *miss-dominated by construction* (working sets sized
    against the L2, L1 hit rates 45-65%), so most wall-clock is spent in
-   the contention path — batched into epoch kernels since PR 10.
-2. **contention_grid** — the same grid re-timed min-of-N passes per
-   mode (reference / vectorized with contention kernels / vectorized
-   with ``REPRO_CONTENTION_KERNELS=0``), traces pre-materialized and
-   GC paused: the honest engine-only number for the miss-dominated
-   region, and the kernels' contribution over the pre-kernel engine.
+   the contention path (NoC, banks, memory controllers, token ledger),
+   which both engines share.
+2. **contention_grid** — the same grid re-timed min-of-N interleaved
+   passes per engine, traces pre-materialized and GC paused: the
+   honest engine-only number for the miss-dominated region.
 3. **locality_sweep** — synthetic private working sets scaled against
    the L1, showing where epoch batching wins: the speedup grows with
    the L1 hit rate, approaching ~2x as runs lengthen.
@@ -105,7 +104,7 @@ def engine_grid(config, quick):
     return points, total
 
 
-#: Passes per mode for the contention grid; on a shared host single
+#: Passes per engine for the contention grid; on a shared host single
 #: passes swing +-20%, min-of-N is the honest protocol (docs/performance.md).
 CONTENTION_PASSES = 3
 
@@ -113,14 +112,10 @@ CONTENTION_PASSES = 3
 def contention_grid(config, quick):
     """Min-of-N engine-only timing of the miss-dominated cold grid.
 
-    Three modes over the same trace sets: the reference engine, the
-    vectorized engine with the batched contention kernels (the default),
-    and the vectorized engine with the kernels disabled
-    (``REPRO_CONTENTION_KERNELS=0`` — the pre-kernel epoch engine, which
-    recorded ~1x here). Traces are materialized once and the GC is
-    paused during timed passes so the numbers are engine wall-clock,
-    not allocator noise. Every mode's results are asserted byte-
-    identical to the reference engine's.
+    Both engines over the same trace sets. Traces are materialized once
+    and the GC is paused during timed passes so the numbers are engine
+    wall-clock, not allocator noise. The vectorized engine's results
+    are asserted byte-identical to the reference engine's.
     """
     archs = ARCHS[:2] if quick else ARCHS
     workloads = WORKLOADS[:2] if quick else WORKLOADS
@@ -129,48 +124,34 @@ def contention_grid(config, quick):
     trace_sets = {(w, s): materialize_traces(config, SETTINGS, w, s)
                   for w in workloads for s in seeds}
     points = [(w, s, a) for w in workloads for s in seeds for a in archs]
-    modes = (("reference", "reference", None),
-             ("vectorized_kernels_on", "vectorized", "1"),
-             ("vectorized_kernels_off", "vectorized", "0"))
     baseline = {}
     totals = {}
-    saved_knob = os.environ.get("REPRO_CONTENTION_KERNELS")
-    try:
-        # Passes interleave the modes (pass 0: ref, on, off; pass 1:
-        # ref, on, off; ...) so drifting host load penalizes every mode
-        # equally instead of whichever mode happens to run last.
-        for p in range(passes):
-            for mode, engine, knob in modes:
-                if knob is None:
-                    os.environ.pop("REPRO_CONTENTION_KERNELS", None)
-                else:
-                    os.environ["REPRO_CONTENTION_KERNELS"] = knob
-                gc.collect()
-                gc.disable()
-                try:
-                    elapsed = 0.0
-                    for key in points:
-                        workload, seed, arch = key
-                        t, result = timed_run(
-                            engine, config, arch, trace_sets[workload, seed],
-                            SETTINGS.refs_per_core,
-                            SETTINGS.warmup_refs_per_core)
-                        elapsed += t
-                        if p == 0:
-                            if mode == "reference":
-                                baseline[key] = result.to_dict()
-                            else:
-                                assert result.to_dict() == baseline[key], \
-                                    f"{mode} diverged at {key}"
-                finally:
-                    gc.enable()
-                prev = totals.get(mode)
-                totals[mode] = elapsed if prev is None else min(prev, elapsed)
-    finally:
-        if saved_knob is None:
-            os.environ.pop("REPRO_CONTENTION_KERNELS", None)
-        else:
-            os.environ["REPRO_CONTENTION_KERNELS"] = saved_knob
+    # Passes interleave the engines (pass 0: reference, vectorized;
+    # pass 1: ...) so drifting host load penalizes both equally instead
+    # of whichever happens to run last.
+    for p in range(passes):
+        for engine in ("reference", "vectorized"):
+            gc.collect()
+            gc.disable()
+            try:
+                elapsed = 0.0
+                for key in points:
+                    workload, seed, arch = key
+                    t, result = timed_run(
+                        engine, config, arch, trace_sets[workload, seed],
+                        SETTINGS.refs_per_core,
+                        SETTINGS.warmup_refs_per_core)
+                    elapsed += t
+                    if p == 0:
+                        if engine == "reference":
+                            baseline[key] = result.to_dict()
+                        else:
+                            assert result.to_dict() == baseline[key], \
+                                f"{engine} diverged at {key}"
+            finally:
+                gc.enable()
+            prev = totals.get(engine)
+            totals[engine] = elapsed if prev is None else min(prev, elapsed)
     return totals, passes, len(points)
 
 
@@ -260,10 +241,7 @@ def main(argv=None):
         "engine_grid": {
             "label": "cold 40-point grid, serial, engine wall-clock only, "
                      "single pass per point (noisy on a shared host; "
-                     "contention_grid repeats this min-of-N). With the "
-                     "contention path batched into epoch kernels, per-"
-                     "point ratios on miss-dominated points sit around "
-                     "1.2-1.3x (they hovered near 1x before)",
+                     "contention_grid repeats this min-of-N)",
             "reference_total_s": round(total["reference"], 3),
             "vectorized_total_s": round(total["vectorized"], 3),
             "speedup": round(grid_speedup, 3),
@@ -272,31 +250,16 @@ def main(argv=None):
         },
         "contention_grid": {
             "label": "the same cold grid timed min-of-%d interleaved "
-                     "passes per mode with traces pre-materialized and "
+                     "passes per engine with traces pre-materialized and "
                      "GC paused: the honest engine-only figure for the "
-                     "miss-dominated region. kernels_off is the pre-"
-                     "kernel epoch engine (REPRO_CONTENTION_KERNELS=0), "
-                     "which records ~1x or below. Measured on a single-"
-                     "CPU shared host where individual passes swing "
-                     "+-20%%; min-of-N ratios observed across "
-                     "development runs ranged 1.20-1.30x with kernels on"
-                     % cont_passes,
+                     "miss-dominated region, on a shared host where "
+                     "individual passes swing +-20%%" % cont_passes,
             "points": cont_points,
-            "passes_per_mode": cont_passes,
+            "passes_per_engine": cont_passes,
             "reference_total_s": round(contention["reference"], 3),
-            "vectorized_kernels_on_total_s":
-                round(contention["vectorized_kernels_on"], 3),
-            "vectorized_kernels_off_total_s":
-                round(contention["vectorized_kernels_off"], 3),
-            "speedup_kernels_on": round(
-                contention["reference"]
-                / contention["vectorized_kernels_on"], 3),
-            "speedup_kernels_off": round(
-                contention["reference"]
-                / contention["vectorized_kernels_off"], 3),
-            "kernels_on_vs_off": round(
-                contention["vectorized_kernels_off"]
-                / contention["vectorized_kernels_on"], 3),
+            "vectorized_total_s": round(contention["vectorized"], 3),
+            "speedup": round(
+                contention["reference"] / contention["vectorized"], 3),
             "all_results_identical": True,
         },
         "locality_sweep": {
@@ -315,9 +278,9 @@ def main(argv=None):
             "warm_speedup_vs_cold": round(warm_speedup, 1),
             "note": "the >=10x cold-grid acceptance figure is this stack "
                     "speedup of a repeat invocation; the engine alone "
-                    "contributes ~1.25x on miss-dominated points "
-                    "(contention_grid) and up to ~2x at high locality "
-                    "(locality_sweep)",
+                    "contributes what contention_grid records on "
+                    "miss-dominated points and up to ~2x at high "
+                    "locality (locality_sweep)",
         },
     }
     out = os.path.abspath(args.out)

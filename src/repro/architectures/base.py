@@ -70,6 +70,11 @@ class NucaArchitecture:
         self.ledger = system.ledger
         self.banks: List[CacheBank] = self.build_banks()
         self._bank_busy = [0] * len(self.banks)
+        # Bank occupancies (Table 2): a miss holds the bank for the tag
+        # lookup, a hit for tag plus data array.
+        l2 = self.config.l2
+        self._bank_miss_occ = l2.tag_latency
+        self._bank_hit_occ = l2.tag_latency + l2.access_latency
         # Dense geometry tables: router_of_core is the identity on this
         # mesh and router_of_bank a division, but both sit on the
         # per-miss hot path — flatten to list lookups.
@@ -181,13 +186,16 @@ class NucaArchitecture:
         capped at a few services to bound out-of-time-order skew (see
         Network.arrival).
         """
-        cfg = self.config.l2
-        occupancy = cfg.tag_latency + (cfg.access_latency if hit else 0)
-        ready = self._bank_busy[bank_id]
+        occupancy = self._bank_hit_occ if hit else self._bank_miss_occ
+        busy = self._bank_busy
+        ready = busy[bank_id]
         start = t_arrive
         if ready > start:
-            start += min(ready - start, 4 * occupancy)
-        self._bank_busy[bank_id] = max(ready, start + occupancy)
+            skew = ready - start
+            cap = 4 * occupancy
+            start += skew if skew < cap else cap
+        end = start + occupancy
+        busy[bank_id] = ready if ready > end else end
         ctx = self._trace_ctx
         if ctx is not None and ctx.tracer.wants("l2"):
             ctx.tracer.complete(

@@ -80,9 +80,8 @@ class L1Cache:
             self._stamp += 1
             existing.lru = self._stamp
             if self.journal is not None:
-                # Inlined MirrorJournal.on_merge (keep in sync): a token
-                # increase only turns contention into locality — stale,
-                # never dirty.
+                # Journal hook, token merge (contract: the
+                # repro.sim.vector.mirror docstring).
                 self.journal._stale[self.core_id] = True
             return existing, None, True
         evicted: Optional[L1Line] = None
@@ -102,7 +101,8 @@ class L1Cache:
         cache_set[block] = line
         j = self.journal
         if j is not None:
-            # Inlined MirrorJournal.on_install (keep in sync).
+            # Journal hook, fresh install (contract: the
+            # repro.sim.vector.mirror docstring).
             if evicted is not None:
                 run = j.runs[self.core_id]
                 if run is not None and evicted.block in run:
@@ -114,7 +114,8 @@ class L1Cache:
         line = self._sets[block % self.num_sets].pop(block, None)
         j = self.journal
         if line is not None and j is not None:
-            # Inlined MirrorJournal.on_invalidate (keep in sync).
+            # Journal hook, invalidation (contract: the
+            # repro.sim.vector.mirror docstring).
             run = j.runs[self.core_id]
             if run is not None and block in run:
                 j.dirty.add(self.core_id)

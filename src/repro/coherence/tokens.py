@@ -86,7 +86,8 @@ class TokenLedger:
         # have lapsed. The journal object itself is installed (duck
         # typed: ``runs``/``dirty``/``_stale``) and its field updates
         # are inlined in take_from_l1 — the hook fires once per token
-        # withdrawal, too hot for a method call.
+        # withdrawal, too hot for a method call (the contract is in the
+        # repro.sim.vector.mirror docstring).
         self.l1_journal = None
         self._states: Dict[int, BlockState] = _StateMap(self.total_tokens)
         # Statistics scope, mounted at ``coherence`` by the system.
@@ -160,7 +161,8 @@ class TokenLedger:
             del state.l1[core]
         j = self.l1_journal
         if taken and j is not None:
-            # Inlined MirrorJournal._on_tokens_taken (keep in sync).
+            # Journal hook, token withdrawal (contract: the
+            # repro.sim.vector.mirror docstring).
             run = j.runs[core]
             if run is not None and block in run:
                 j.dirty.add(core)

@@ -28,6 +28,15 @@ Three primitive kinds, all O(1) on the hot path:
   costs one integer add per event and a fixed few hundred bytes per
   histogram.
 
+Components whose hot path cannot afford a registry object per event
+(the NoC counts one flat slot per message, the system one flat record
+per demand access) keep pending counts in their own flat arrays and
+give their scope a *sync* callback that folds those counts into the
+registry objects. Every read and reset of the scope (``to_dict``,
+``walk``, ``get``, ``stats``, ``reset``, ``sync``) runs it first, and
+child scopes inherit it, so no reader ever sees an unapplied count and
+a warm-up reset also clears what was pending.
+
 Naming convention (see docs/observability.md): scope paths are dotted,
 lower-case, with instance indices fused to the kind — ``l2.bank3``,
 ``l1.core0``, ``noc.links.r0-r1``, ``mem.mc1``, ``arch.duel.bank2``.
@@ -38,7 +47,7 @@ them losslessly.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 #: Histograms cover values up to 2**(_HIST_BUCKETS-1); larger values
 #: saturate into the last bucket. 40 buckets cover any plausible
@@ -148,13 +157,22 @@ class Scope:
     work outside a full system; :class:`CmpSystem` *mounts* them into
     its registry, which only links the existing objects — the component
     keeps incrementing the very same counters the registry walks.
+
+    ``sync``, when given, folds the owner's pending flat counts into
+    this subtree's statistics; it runs before every read and reset.
     """
 
-    __slots__ = ("_stats", "_scopes")
+    __slots__ = ("_stats", "_scopes", "_sync")
 
-    def __init__(self) -> None:
+    def __init__(self, sync: Optional[Callable[[], None]] = None) -> None:
         self._stats: Dict[str, Stat] = {}
         self._scopes: Dict[str, "Scope"] = {}
+        self._sync = sync
+
+    def sync(self) -> None:
+        """Fold pending flat counts into the registry objects."""
+        if self._sync is not None:
+            self._sync()
 
     # -- construction -------------------------------------------------------
 
@@ -192,7 +210,7 @@ class Scope:
                 raise ValueError(f"invalid scope name {name!r}")
             if name in self._stats:
                 raise ValueError(f"{name!r} is already a stat here")
-            child = Scope()
+            child = Scope(self._sync)
             self._scopes[name] = child
         return child
 
@@ -218,6 +236,7 @@ class Scope:
         for part in path.split("."):
             if not isinstance(node, Scope):
                 raise KeyError(path)
+            node.sync()
             child = node._scopes.get(part)
             if child is not None:
                 node = child
@@ -232,12 +251,14 @@ class Scope:
         return dict(self._scopes)
 
     def stats(self) -> Dict[str, Stat]:
+        self.sync()
         return dict(self._stats)
 
     # -- tree operations ------------------------------------------------------
 
     def reset(self) -> None:
         """Zero every statistic in this subtree (warm-up reset)."""
+        self.sync()
         for stat in self._stats.values():
             stat.reset()
         for child in self._scopes.values():
@@ -246,6 +267,7 @@ class Scope:
     def walk(self, prefix: str = "") -> Iterator[Tuple[str, Stat]]:
         """Yield ``(dotted_path, stat)`` for every statistic in the
         subtree, depth-first in registration order."""
+        self.sync()
         for name, stat in self._stats.items():
             yield (f"{prefix}{name}", stat)
         for name, child in self._scopes.items():
@@ -253,6 +275,7 @@ class Scope:
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-clean nested snapshot of the subtree."""
+        self.sync()
         out: Dict[str, object] = {}
         for name, stat in self._stats.items():
             out[name] = stat.snapshot()

@@ -27,6 +27,7 @@ class MemoryController:
     def __init__(self, latency: int, occupancy: int) -> None:
         self.latency = latency
         self.occupancy = occupancy
+        self._cap = self.MAX_QUEUE_SERVICES * occupancy
         self._busy_until = 0
         self.stats = Scope()
         self._requests = self.stats.counter("demand")
@@ -41,11 +42,14 @@ class MemoryController:
     def service(self, arrive: int) -> int:
         """Admit a demand request at ``arrive``; return data-ready time."""
         start = arrive
-        if self._busy_until > start:
-            start += min(self._busy_until - start,
-                         self.MAX_QUEUE_SERVICES * self.occupancy)
-        self._queueing.value += start - arrive
-        self._busy_until = max(self._busy_until, start + self.occupancy)
+        ready = self._busy_until
+        if ready > start:
+            skew = ready - start
+            cap = self._cap
+            start += skew if skew < cap else cap
+            self._queueing.value += start - arrive
+        end = start + self.occupancy
+        self._busy_until = ready if ready > end else end
         self._requests.value += 1
         return start + self.latency
 
@@ -57,10 +61,13 @@ class MemoryController:
         would chain writebacks onto a future-stamped frontier forever.
         """
         start = arrive
-        if self._busy_until > start:
-            start += min(self._busy_until - start,
-                         self.MAX_QUEUE_SERVICES * self.occupancy)
-        self._busy_until = max(self._busy_until, start + self.occupancy)
+        ready = self._busy_until
+        if ready > start:
+            skew = ready - start
+            cap = self._cap
+            start += skew if skew < cap else cap
+        end = start + self.occupancy
+        self._busy_until = ready if ready > end else end
         self._writebacks.value += 1
 
     @property

@@ -15,15 +15,23 @@ Statistics live in the network's :class:`~repro.common.statsreg.Scope`
 / ``hops`` / ``queueing``, per-kind counts under ``kinds.<kind>``, and
 per-directed-link traffic under ``links.r<src>-r<dst>`` (``messages`` +
 ``queueing``) — the breakdown that shows *where* the mesh saturates.
+
+:meth:`Network.arrival` runs once per message on every miss, so it
+touches no registry object. It adds 1 to one flat slot per message,
+indexed by kind and ``src * n + dst`` (n = routers), and each wait to
+one flat slot per link. The scope's sync callback derives every
+registry counter from those slots when the scope is read or reset:
+a route is a fixed tuple of links, so ``hops``, ``flits`` and the
+per-link message counts follow from the per-(kind, route) counts.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 from repro.common.config import SystemConfig
-from repro.common.statsreg import Counter, Scope
-from repro.noc.message import FLITS, Message, MessageKind
+from repro.common.statsreg import Scope
+from repro.noc.message import Message, MessageKind
 from repro.noc.topology import MeshTopology
 
 
@@ -36,67 +44,100 @@ class Network:
         self.topology = topology or MeshTopology(config)
         self.hop_latency = config.noc.hop_latency
         self.model_contention = model_contention
-        # Per (src, dst) pair: the tuple of directed links of the DOR
-        # route — precomputed, the timing layer walks one per message.
+        # Each directed link any DOR route uses gets a dense id (in a
+        # stable order); each (src, dst) pair, flattened to
+        # ``src * n + dst``, maps to the tuple of link ids of its route.
         n = self.topology.num_routers
-        self._links = [[self._route_links(s, d) for d in range(n)]
-                       for s in range(n)]
-        # Statistics.
-        self.stats = Scope()
+        self._n = n
+        link_ids: Dict[Tuple[int, int], int] = {}
+        routes = []
+        for src in range(n):
+            for dst in range(n):
+                links = self._route_links(src, dst)
+                for link in links:
+                    link_ids.setdefault(link, len(link_ids))
+                routes.append(tuple(link_ids[link] for link in links))
+        self._routes: List[Tuple[int, ...]] = routes
+        self._link_busy = [0] * len(link_ids)
+        # Pending counts (see the module docstring): messages per
+        # (kind, pair) and queueing cycles per link.
+        self._pending = [[0] * (n * n) for _ in MessageKind]
+        self._link_queue = [0] * len(link_ids)
+        # Statistics, derived from the pending counts by _sync.
+        self.stats = Scope(self._sync)
         self._messages = self.stats.counter("messages")
         self._flits = self.stats.counter("flits")
         self._hops = self.stats.counter("hops")
         self._queueing = self.stats.counter("queueing")
         kind_scope = self.stats.scope("kinds")
-        self._kind_counts: Dict[MessageKind, Counter] = {
-            k: kind_scope.counter(k.name.lower()) for k in MessageKind}
-        # Every directed link any DOR route uses, in a stable order.
+        self._kind_counts = [kind_scope.counter(k.name.lower())
+                             for k in MessageKind]
         link_scope = self.stats.scope("links")
-        self._link_stats: Dict[Tuple[int, int], Tuple[Counter, Counter]] = {}
-        for src in range(n):
-            for dst in range(n):
-                for link in self._links[src][dst]:
-                    if link not in self._link_stats:
-                        ls = link_scope.scope(f"r{link[0]}-r{link[1]}")
-                        self._link_stats[link] = (ls.counter("messages"),
-                                                  ls.counter("queueing"))
-        # Per-route latency tables (docs/performance.md): each directed
-        # link gets a dense integer id into a busy-until list, and each
-        # (src, dst) route becomes a tuple of (link id, message counter,
-        # queueing counter) triplets — ``arrival`` then walks plain
-        # tuples and list slots instead of hashing link keys per hop.
-        link_ids = {link: i for i, link in enumerate(self._link_stats)}
-        self._link_busy = [0] * len(link_ids)
-        self._route_stats = [
-            [tuple((link_ids[link],) + self._link_stats[link]
-                   for link in self._links[s][d]) for d in range(n)]
-            for s in range(n)]
+        self._link_messages = []
+        self._link_queueing = []
+        for link in link_ids:
+            ls = link_scope.scope(f"r{link[0]}-r{link[1]}")
+            self._link_messages.append(ls.counter("messages"))
+            self._link_queueing.append(ls.counter("queueing"))
 
     def _route_links(self, src: int, dst: int) -> Tuple[Tuple[int, int], ...]:
         route = self.topology.dor_route(src, dst)
         return tuple(zip(route[:-1], route[1:]))
 
+    def _sync(self) -> None:
+        """Fold the pending flat counts into the registry counters."""
+        routes = self._routes
+        link_messages = self._link_messages
+        for kind, row in zip(MessageKind, self._pending):
+            if not any(row):
+                continue
+            kind_total = kind_hops = 0
+            for pair, count in enumerate(row):
+                if count:
+                    row[pair] = 0
+                    route = routes[pair]
+                    kind_total += count
+                    kind_hops += len(route) * count
+                    for link_id in route:
+                        link_messages[link_id].value += count
+            self._kind_counts[kind.idx].value += kind_total
+            self._messages.value += kind_total
+            self._hops.value += kind_hops
+            self._flits.value += kind.flits * kind_hops
+        link_queue = self._link_queue
+        if any(link_queue):
+            for link_id, wait in enumerate(link_queue):
+                if wait:
+                    link_queue[link_id] = 0
+                    self._link_queueing[link_id].value += wait
+                    self._queueing.value += wait
+
     # -- legacy attribute API (reads through to the registry) ---------------
 
     @property
     def messages_sent(self) -> int:
+        self.stats.sync()
         return self._messages.value
 
     @property
     def flits_sent(self) -> int:
+        self.stats.sync()
         return self._flits.value
 
     @property
     def total_hops(self) -> int:
+        self.stats.sync()
         return self._hops.value
 
     @property
     def total_queueing(self) -> int:
+        self.stats.sync()
         return self._queueing.value
 
     @property
     def kind_counts(self) -> Dict[MessageKind, int]:
-        return {k: c.value for k, c in self._kind_counts.items()}
+        self.stats.sync()
+        return {k: self._kind_counts[k.idx].value for k in MessageKind}
 
     def reset_stats(self) -> None:
         self.stats.reset()
@@ -117,11 +158,10 @@ class Network:
     def arrival(self, kind: MessageKind, src_router: int, dst_router: int,
                 depart: int) -> int:
         """Arrival time of a message (the timing layer's fast path)."""
-        route = self._route_stats[src_router][dst_router]
-        hops = len(route)
-        flits = FLITS[kind]
+        pair = src_router * self._n + dst_router
+        route = self._routes[pair]
         now = depart
-        if self.model_contention and hops:
+        if route and self.model_contention:
             # Per-link serialization with a bounded wait: the simulator
             # orders events at reference granularity, so reservations
             # can be stamped out of time order; an uncapped busy-until
@@ -130,31 +170,21 @@ class Network:
             # genuine burst serialization while bounding the skew error.
             busy = self._link_busy
             hop_latency = self.hop_latency
-            queue = 0
+            flits = kind.flits
             cap = 4 * flits
-            for link_id, msg_c, queue_c in route:
-                msg_c.value += 1
+            for link_id in route:
                 ready = busy[link_id]
                 if ready > now:
                     wait = ready - now
                     if wait > cap:
                         wait = cap
-                    queue += wait
-                    queue_c.value += wait
+                    self._link_queue[link_id] += wait
                     now += wait
-                if ready > now + flits:
-                    busy[link_id] = ready  # keep the later reservation
-                else:
-                    busy[link_id] = now + flits
+                end = now + flits
+                # Keep the later reservation.
+                busy[link_id] = ready if ready > end else end
                 now += hop_latency
-            self._queueing.value += queue
         else:
-            now += self.hop_latency * hops
-            if hops:
-                for _, msg_c, _ in route:
-                    msg_c.value += 1
-        self._messages.value += 1
-        self._flits.value += flits * hops
-        self._hops.value += hops
-        self._kind_counts[kind].value += 1
+            now += self.hop_latency * len(route)
+        self._pending[kind.idx][pair] += 1
         return now

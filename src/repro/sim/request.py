@@ -17,8 +17,8 @@ class Supplier(enum.Enum):
     OFFCHIP = "off-chip"
 
 
-# Dense per-member index for hot paths (flat per-supplier arrays in
-# the vectorized engine's contention session).
+# Dense per-member index for hot paths: the flat per-supplier access
+# records of CmpSystem (``_access_rec``).
 for _i, _supplier in enumerate(Supplier):
     _supplier.idx = _i
 

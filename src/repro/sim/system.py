@@ -22,7 +22,8 @@ from typing import TYPE_CHECKING, Dict, List
 from repro.cache.l1 import L1Cache, L1Line
 from repro.common.addresses import AddressMap
 from repro.common.config import CheckConfig, SystemConfig
-from repro.common.statsreg import Counter, Histogram, StatsRegistry
+from repro.common.statsreg import (_HIST_BUCKETS, Counter, Histogram, Scope,
+                                   StatsRegistry)
 from repro.mem.controller import MemorySystem
 from repro.noc.network import Network
 from repro.noc.topology import MeshTopology
@@ -83,8 +84,14 @@ class CmpSystem:
         self.stats.mount("coherence", self.ledger.stats)
         # Demand-access decomposition by data supplier (Figure 6): per
         # supplier an access count, a latency sum and a power-of-two
-        # latency histogram.
-        access_scope = self.stats.scope("access")
+        # latency histogram. Every demand access records into one flat
+        # list per supplier, ``[count, cycles, bucket 0, bucket 1, ...]``
+        # (indexed by ``Supplier.idx``); the access scope's sync folds
+        # those into the registry objects when it is read or reset.
+        self._access_rec: List[List[int]] = [
+            [0] * (2 + _HIST_BUCKETS) for _ in Supplier]
+        access_scope = self.stats.mount("access", Scope(self._sync_access))
+        self._access_scope = access_scope
         self._access_count: Dict[Supplier, Counter] = {}
         self._access_cycles: Dict[Supplier, Counter] = {}
         self._access_hist: Dict[Supplier, Histogram] = {}
@@ -210,9 +217,31 @@ class CmpSystem:
         return self._serve_access(core, block, is_write, t_issue)
 
     def _record_access(self, supplier: Supplier, latency: int) -> None:
-        self._access_count[supplier].value += 1
-        self._access_cycles[supplier].value += latency
-        self._access_hist[supplier].record(latency)
+        rec = self._access_rec[supplier.idx]
+        rec[0] += 1
+        rec[1] += latency
+        # Histogram.record's bucket: the bit length, saturating.
+        bucket = latency.bit_length() + 2
+        if bucket >= len(rec):
+            bucket = len(rec) - 1
+        rec[bucket] += 1
+
+    def _sync_access(self) -> None:
+        """Fold the flat per-supplier records into the access scope."""
+        for supplier, rec in zip(Supplier, self._access_rec):
+            count = rec[0]
+            if not count:
+                continue
+            cycles = rec[1]
+            self._access_count[supplier].value += count
+            self._access_cycles[supplier].value += cycles
+            hist = self._access_hist[supplier]
+            hist.count += count
+            hist.total += cycles
+            buckets = hist.buckets
+            for i in range(_HIST_BUCKETS):
+                buckets[i] += rec[2 + i]
+            rec[:] = [0] * len(rec)
 
     # -- helpers used by architectures ---------------------------------------------
 
@@ -285,6 +314,7 @@ class CmpSystem:
         engine and appear only in the result built by :meth:`finalize`.
         """
         result = SimResult(architecture=self.architecture.name)
+        self._access_scope.sync()
         result.supplier_count = {s: self._access_count[s].value
                                  for s in Supplier}
         result.supplier_cycles = {s: self._access_cycles[s].value

@@ -25,10 +25,13 @@ The schedule per epoch:
    local run whose keys order strictly before K* (a write hit's dirty
    bit must be visible to a later contention, and must not be visible
    to an earlier one).
-4. **full commit + serve** — the owner commits its entire run (its own
-   references are FIFO, so its locals precede its contention at any
-   key), then its contention reference is served through the untouched
-   reference path (``CmpSystem.access``).
+4. **full commit + serve burst** — the owner commits its entire run
+   (its own references are FIFO, so its locals precede its contention
+   at any key), then serves its contention reference, and the ones
+   after it while it stays the global minimum, with an inline copy of
+   the reference access path: the ``CoreModel`` step, the L1 probe and
+   the live ``handle_miss``/``handle_upgrade`` policy methods, whose
+   NoC, bank and controller timing is the shared scalar code.
 5. **journal drain** — the contention may have changed L1 membership or
    taken L1 tokens; the :class:`~repro.sim.vector.mirror.MirrorJournal`
    names the affected cores, whose classifications are invalidated.
@@ -52,7 +55,7 @@ from repro.sim.cpu import TraceItem
 from repro.sim.engine import SimulationEngine
 from repro.sim.request import Supplier
 from repro.sim.system import CmpSystem
-from repro.sim.vector import contention, soa
+from repro.sim.vector import soa
 from repro.sim.vector.mirror import MirrorJournal
 from repro.sim.vector.soa import SoATrace
 
@@ -75,12 +78,6 @@ class VectorizedEngine(SimulationEngine):
         self._soa: List[Optional[SoATrace]] = [
             SoATrace(t) if t is not None else None for t in items]
         self._journal: Optional[MirrorJournal] = None
-        # Contention-kernel session (docs/engine.md): lazily built,
-        # installed only for the span of a fast phase. ``_session``
-        # caches the object; ``_session_active`` is non-None exactly
-        # while its kernels are installed.
-        self._session: Optional[contention.ContentionSession] = None
-        self._session_active: Optional[contention.ContentionSession] = None
         self._run_len = [0] * n
         self._park_clock = [0] * n
         self._scout: List[Optional[tuple]] = [None] * n
@@ -114,9 +111,7 @@ class VectorizedEngine(SimulationEngine):
         self._win = core_cfg.window_size
         self._mo = core_cfg.max_outstanding
         self._l1_bucket = min(self._l1_lat.bit_length(), _HIST_BUCKETS - 1)
-        self._local_count = system._access_count[Supplier.L1_LOCAL]
-        self._local_cycles = system._access_cycles[Supplier.L1_LOCAL]
-        self._local_hist = system._access_hist[Supplier.L1_LOCAL]
+        self._rec_local = system._access_rec[Supplier.L1_LOCAL.idx]
         # Core timing state (CoreModel.clock/instructions/stall_cycles/
         # memory_refs/_outstanding) hoisted into flat per-core lists for
         # the span of a fast phase; loaded from and resynchronized to
@@ -162,14 +157,6 @@ class VectorizedEngine(SimulationEngine):
             journal = MirrorJournal(ncores, system.ledger.total_tokens)
             self._journal = journal
         journal.install(system.l1s, system.ledger)
-        session: Optional[contention.ContentionSession] = None
-        if contention.kernels_enabled():
-            session = self._session
-            if session is None:
-                session = contention.ContentionSession(system)
-                self._session = session
-            session.install()
-        self._session_active = session
         # Load core timing state into the flat per-phase lists; the
         # ``finally`` below writes them back so the CoreModel objects
         # are authoritative again whenever observers can look (between
@@ -214,11 +201,8 @@ class VectorizedEngine(SimulationEngine):
             handle_miss = self._handle_miss
             handle_upgrade = self._handle_upgrade
             dirty_set = journal.dirty   # mutated in place, never rebound
-            if session is not None:
-                sup_rec = session.sup_rec
-                rec_local = session.sup_rec_local
-                hits_c = session.l1_hits
-                misses_c = session.l1_misses
+            sup_rec = system._access_rec
+            rec_local = self._rec_local
             while True:
                 for cid in need:
                     self._classify_and_scout(cid)
@@ -254,16 +238,6 @@ class VectorizedEngine(SimulationEngine):
                 vers[owner] += 1
                 if pos[owner] >= limits[owner]:
                     continue
-                if session is None:
-                    # Reference-granularity serve, one per pop
-                    # (REPRO_CONTENTION_KERNELS=0).
-                    self._serve(owner)
-                    if pos[owner] < limits[owner]:
-                        need.append(owner)
-                    dirty = journal.dirty
-                    if dirty:
-                        self._requeue_dirty(dirty, owner, vers, need)
-                    continue
                 parked = False
                 # Serve burst: the freshly popped owner is the global
                 # minimum, and misses cluster, so it usually stays the
@@ -279,6 +253,15 @@ class VectorizedEngine(SimulationEngine):
                 # path keeps owning high-hit phases. Core timing state
                 # lives in locals across the whole burst and is stored
                 # back once at the end.
+                #
+                # The burst's CoreModel step and access path are inline
+                # copies, kept because removing them was measured
+                # (docs/engine.md, "Serve burst"): serving through
+                # CmpSystem._serve_access and CoreModel instead took
+                # 1.26x (perfbench cold_grid) and 1.40x (local_hits)
+                # the time of the earlier session-based engine, against
+                # 0.97x and 1.01x with these copies kept (medians of
+                # 8-10 runs, 2-CPU host).
                 blocks = self._blocks[owner]
                 writes = self._writes[owner]
                 gaps = self._gaps[owner]
@@ -286,6 +269,8 @@ class VectorizedEngine(SimulationEngine):
                 l1_sets = self._l1_sets[owner]
                 nsets = self._l1_nsets[owner]
                 l1 = l1s[owner]
+                hits_c = l1._hits
+                misses_c = l1._misses
                 clock = clocks[owner]
                 instr = instrs_v[owner]
                 stalls = stalls_v[owner]
@@ -374,15 +359,16 @@ class VectorizedEngine(SimulationEngine):
                     # --- serve: exact port of the reference access
                     # path — L1 hit effects from L1Cache.access,
                     # miss/upgrade policy through the live architecture
-                    # methods, statistics deferred (keep in sync with
-                    # repro/sim/system.py access/_serve_access and
-                    # repro/cache/l1.py access). ---
+                    # methods, the supplier record of
+                    # CmpSystem._record_access (keep in sync with
+                    # repro/sim/system.py access/_serve_access/
+                    # _record_access and repro/cache/l1.py access). ---
                     if line is not None:
                         stamp = l1._stamp + 1
                         l1._stamp = stamp
                         line.lru = stamp
                         line.reused = True
-                        hits_c[owner] += 1
+                        hits_c.value += 1
                         t_done = clock + l1_lat
                         if writes[p]:
                             if line.tokens < total:
@@ -393,7 +379,7 @@ class VectorizedEngine(SimulationEngine):
                             line.dirty = True
                         rec = rec_local
                     else:
-                        misses_c[owner] += 1
+                        misses_c.value += 1
                         t_done, supplier = handle_miss(owner, block,
                                                        writes[p],
                                                        clock + l1_tag)
@@ -462,9 +448,6 @@ class VectorizedEngine(SimulationEngine):
                 if dirty_set:
                     self._requeue_dirty(dirty_set, owner, vers, need)
         finally:
-            self._session_active = None
-            if session is not None:
-                session.uninstall()  # flushes deferred stats first
             journal.uninstall(system.l1s, system.ledger)
             for cid in range(ncores):
                 c = cores[cid]
@@ -486,7 +469,7 @@ class VectorizedEngine(SimulationEngine):
         """Invalidate and requeue classified runs touched by the
         owner's serves. Parked-at-contention cores keep an exact park
         key (timing of committed refs only); their contention is
-        re-examined at serve time through the full reference path."""
+        re-examined at serve time through the full access path."""
         run_len = self._run_len
         pos = self._pos
         limits = self._limit
@@ -778,55 +761,13 @@ class VectorizedEngine(SimulationEngine):
 
         Every local reference records Supplier.L1_LOCAL with a constant
         latency (the L1 access latency), so the counter and histogram
-        updates fold to one addition each — landing in the *same live
-        counters* the reference path uses, so warm-up resets and
-        finalize snapshots need no special handling.
+        updates fold to one addition each — landing in the *same* L1
+        counter and flat supplier record the reference path uses, so
+        warm-up resets and finalize snapshots need no special handling.
         """
-        lat = self._l1_lat
-        session = self._session_active
-        if session is not None:
-            session.l1_hits[cid] += n
-            rec = session.sup_rec_local
-            rec[0] += n
-            rec[1] += n * lat
-            rec[2 + self._l1_bucket] += n
-        else:
-            l1._hits.value += n
-            self._local_count.value += n
-            self._local_cycles.value += n * lat
-            hist = self._local_hist
-            hist.buckets[self._l1_bucket] += n
-            hist.count += n
-            hist.total += n * lat
+        l1._hits.value += n
+        rec = self._rec_local
+        rec[0] += n
+        rec[1] += n * self._l1_lat
+        rec[2 + self._l1_bucket] += n
         self._pos[cid] = new_pos
-
-    # -- serving contention points -------------------------------------------
-
-    def _serve(self, cid: int) -> None:
-        """One reference at reference granularity: ``CoreModel``
-        methods and the unmodified ``CmpSystem.access``, exactly as
-        under the reference engine. Used when contention kernels are
-        disabled (``REPRO_CONTENTION_KERNELS=0``); with kernels on,
-        serves happen inline in the epoch loop's burst."""
-        core = self.cores[cid]
-        # Rehydrate the live CoreModel from the phase-flat lists around
-        # the reference-granularity call (the fast phase keeps core
-        # timing state in the lists; CoreModel methods read/write the
-        # object attributes).
-        core.clock = self._clock_v[cid]
-        core.instructions = self._instr_v[cid]
-        core.stall_cycles = self._stall_v[cid]
-        core.memory_refs = self._mem_v[cid]
-        core._outstanding = self._out_v[cid]
-        i = self._pos[cid]
-        trace = self._soa[cid]
-        core.advance_gap(trace.gaps[i])
-        outcome = self.system.access(cid, trace.blocks[i], trace.writes[i],
-                                     core.issue_time())
-        core.complete_memory(trace.items[i].kind, outcome.complete)
-        self._pos[cid] = i + 1
-        self._clock_v[cid] = core.clock
-        self._instr_v[cid] = core.instructions
-        self._stall_v[cid] = core.stall_cycles
-        self._mem_v[cid] = core.memory_refs
-        self._out_v[cid] = core._outstanding

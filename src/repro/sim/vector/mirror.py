@@ -7,18 +7,29 @@ contention event changes L1 membership or removes tokens from an L1
 line; the journal records exactly those transitions so the engine can
 re-classify the affected cores and nobody else.
 
-Hook points (the complete set — verified against every architecture):
+Hook contract. The journal has no hook methods: the three hook points
+(the complete set — verified against every architecture) update its
+fields inline against the installed ``journal`` / ``l1_journal``
+attribute (see below for why). Each marks the core's sets
+stale (``_stale[core] = True``), and each that can break a classified
+run adds the core to ``dirty`` when the block concerned is in
+``runs[core]``:
 
-* :meth:`repro.cache.l1.L1Cache.fill` — fresh install (+ optional
-  eviction) and token-merge into an existing line;
-* :meth:`repro.cache.l1.L1Cache.invalidate`;
+* :meth:`repro.cache.l1.L1Cache.fill` — a fresh install dirties the
+  core if the *evicted* block is in its run; a token merge into an
+  existing line only marks it stale (a token increase can only turn
+  contention into locality, which the next classification finds);
+* :meth:`repro.cache.l1.L1Cache.invalidate` — dirties the core if the
+  invalidated block is in its run;
 * :meth:`repro.coherence.tokens.TokenLedger.take_from_l1` — the single
-  chokepoint through which L1 token counts ever *decrease*.
+  chokepoint through which L1 token counts ever *decrease*; dirties
+  the core if the block is in its run (and only when tokens were
+  actually taken).
 
 Token *increases* outside these hooks (``send_to_memory`` merges,
 ``handle_upgrade`` collection) leave the mirror's ``full`` set stale
 low, which is safe: a full-token write misclassified as contention is
-served through the unmodified reference path with identical results.
+served as contention, with identical results.
 
 The hooks fire on every L1 fill — i.e. once per miss, the dominant
 event on the cold grid — so they are kept to the minimum eager work:
@@ -102,40 +113,6 @@ class MirrorJournal:
         for l1 in l1s:
             l1.journal = None
         ledger.l1_journal = None
-
-    # -- L1Cache hooks -------------------------------------------------------
-    # NOTE: L1Cache.fill/invalidate inline these hook bodies (they fire
-    # once per miss on the cold grid); the methods remain the canonical
-    # definition — keep both in sync.
-
-    def on_install(self, core: int, block: int, tokens: int,
-                   evicted: Optional[int]) -> None:
-        if evicted is not None:
-            run = self.runs[core]
-            if run is not None and evicted in run:
-                self.dirty.add(core)
-        self._stale[core] = True
-
-    def on_merge(self, core: int, block: int, tokens: int) -> None:
-        # Token increase: can only turn contention into locality, which
-        # is re-discovered at the next classification — never dirty.
-        self._stale[core] = True
-
-    def on_invalidate(self, core: int, block: int) -> None:
-        run = self.runs[core]
-        if run is not None and block in run:
-            self.dirty.add(core)
-        self._stale[core] = True
-
-    # -- TokenLedger hook ----------------------------------------------------
-    # Canonical definition; TokenLedger.take_from_l1 inlines this body
-    # against the installed ``ledger.l1_journal`` — keep both in sync.
-
-    def _on_tokens_taken(self, block: int, core: int, remaining: int) -> None:
-        run = self.runs[core]
-        if run is not None and block in run:
-            self.dirty.add(core)
-        self._stale[core] = True
 
     # -- numpy views (bulk classification) -----------------------------------
 

@@ -71,7 +71,7 @@ def local_prefix_length(trace: SoATrace, pos: int, limit: int,
     A reference is *local* when its block is L1-resident (reads) or
     resident with all tokens (writes). ``resident_np`` must be exact;
     ``full_np`` may be conservatively stale-low (a write misclassified
-    as contention is served through the full reference path with
+    as contention is served through the full access path with
     identical results — see docs/engine.md, "Conservative
     classification").
     """
