@@ -48,7 +48,6 @@ from repro.harness.runner import ExperimentRunner, RunSettings
 from repro.sim.cpu import TraceItem, TraceKind
 from repro.sim.engines import build_engine
 from repro.sim.system import CmpSystem
-from repro.sim.vector.soa import HAS_NUMPY
 
 ARCHS = ["shared", "private", "d-nuca", "asr", "esp-nuca"]
 WORKLOADS = ["apache", "oltp", "CG", "art-4"]
@@ -235,7 +234,7 @@ def main(argv=None):
     warm_speedup = times["cold"] / max(times["warm"], 1e-9)
     payload = {
         "benchmark": "vectorized engine vs reference engine",
-        "environment": {"cpu_count": os.cpu_count(), "numpy": HAS_NUMPY,
+        "environment": {"cpu_count": os.cpu_count(),
                         "python": sys.version.split()[0],
                         "quick": args.quick},
         "engine_grid": {

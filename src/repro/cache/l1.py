@@ -79,10 +79,6 @@ class L1Cache:
             existing.dirty = existing.dirty or dirty
             self._stamp += 1
             existing.lru = self._stamp
-            if self.journal is not None:
-                # Journal hook, token merge (contract: the
-                # repro.sim.vector.mirror docstring).
-                self.journal._stale[self.core_id] = True
             return existing, None, True
         evicted: Optional[L1Line] = None
         if len(cache_set) >= self.assoc:
@@ -100,14 +96,12 @@ class L1Cache:
         line.lru = self._stamp
         cache_set[block] = line
         j = self.journal
-        if j is not None:
+        if evicted is not None and j is not None:
             # Journal hook, fresh install (contract: the
             # repro.sim.vector.mirror docstring).
-            if evicted is not None:
-                run = j.runs[self.core_id]
-                if run is not None and evicted.block in run:
-                    j.dirty.add(self.core_id)
-            j._stale[self.core_id] = True
+            run = j.runs[self.core_id]
+            if run is not None and evicted.block in run:
+                j.dirty.add(self.core_id)
         return line, evicted, False
 
     def invalidate(self, block: int) -> Optional[L1Line]:
@@ -119,7 +113,6 @@ class L1Cache:
             run = j.runs[self.core_id]
             if run is not None and block in run:
                 j.dirty.add(self.core_id)
-            j._stale[self.core_id] = True
         return line
 
     def resident_blocks(self) -> List[int]:

@@ -84,7 +84,7 @@ class TokenLedger:
         # the vectorized engine's mirror journal subscribes here to
         # learn when a line's full-token status (write locality) may
         # have lapsed. The journal object itself is installed (duck
-        # typed: ``runs``/``dirty``/``_stale``) and its field updates
+        # typed: ``runs``/``dirty``) and its field updates
         # are inlined in take_from_l1 — the hook fires once per token
         # withdrawal, too hot for a method call (the contract is in the
         # repro.sim.vector.mirror docstring).
@@ -166,7 +166,6 @@ class TokenLedger:
             run = j.runs[core]
             if run is not None and block in run:
                 j.dirty.add(core)
-            j._stale[core] = True
         if self.checking:
             self._check(block)
         return taken

@@ -19,8 +19,6 @@ a context manager::
     print(recorder.format())
 
 so an exception mid-run cannot leave the subscription installed.
-``install()``/``uninstall()`` remain for older callers but are
-deprecated in favour of the ``with`` form.
 """
 
 from __future__ import annotations
@@ -70,15 +68,6 @@ class TimelineRecorder(TracerView):
         return self
 
     def __exit__(self, *exc_info) -> None:
-        self._detach()
-
-    def install(self) -> "TimelineRecorder":
-        """Deprecated — use the context-manager form, which uninstalls
-        even when the traced block raises."""
-        return self.__enter__()
-
-    def uninstall(self) -> None:
-        """Deprecated — use the context-manager form."""
         self._detach()
 
     # -- the view ----------------------------------------------------------------

@@ -18,10 +18,9 @@ events the system emits. Use it as a context manager::
     print(tracer.format(last=20))
 
 so an exception mid-run cannot leave the subscription installed.
-``install()``/``uninstall()`` remain for older callers but are
-deprecated in favour of the ``with`` form. When a user tracer is
-already active the view shares its sampling and category filters (a
-``--sample 100`` trace shows the view 1 in 100 accesses).
+When a user tracer is already active the view shares its sampling and
+category filters (a ``--sample 100`` trace shows the view 1 in 100
+accesses).
 """
 
 from __future__ import annotations
@@ -80,15 +79,6 @@ class AccessTracer(TracerView):
         return self
 
     def __exit__(self, *exc_info) -> None:
-        self._detach()
-
-    def install(self) -> "AccessTracer":
-        """Deprecated — use the context-manager form, which uninstalls
-        even when the traced block raises."""
-        return self.__enter__()
-
-    def uninstall(self) -> None:
-        """Deprecated — use the context-manager form."""
         self._detach()
 
     # -- the view ----------------------------------------------------------------

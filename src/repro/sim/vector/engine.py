@@ -14,17 +14,18 @@ the heap per reference.
 The schedule per epoch:
 
 1. **classify + scout** — for each core whose classification was
-   invalidated, walk its upcoming references against current L1 state
-   to find the maximal local run, simulating core timing on scratch
-   state (an exact port of :class:`~repro.sim.cpu.CoreModel`); the
-   clock after the run is the core's *park key* — the heap key at which
-   its next contention point would fire.
+   invalidated, probe its upcoming references against current L1 state
+   to find the maximal local run (membership only — no timing), then
+   time the run with :meth:`VectorizedEngine._walk` on a copy of the
+   core's state; the clock after the run is the core's *park key* —
+   the heap key at which its next contention point would fire.
 2. **owner** — the minimum (park clock, core id) over active cores,
    K*, is globally the next contention in reference order.
 3. **bounded commits** — every other core commits the prefix of its
    local run whose keys order strictly before K* (a write hit's dirty
    bit must be visible to a later contention, and must not be visible
-   to an earlier one).
+   to an earlier one); the same :meth:`VectorizedEngine._walk`, run on
+   the live state with K* as its bound, finds that prefix.
 4. **full commit + serve burst** — the owner commits its entire run
    (its own references are FIFO, so its locals precede its contention
    at any key), then serves its contention reference, and the ones
@@ -55,9 +56,11 @@ from repro.sim.cpu import TraceItem
 from repro.sim.engine import SimulationEngine
 from repro.sim.request import Supplier
 from repro.sim.system import CmpSystem
-from repro.sim.vector import soa
 from repro.sim.vector.mirror import MirrorJournal
 from repro.sim.vector.soa import SoATrace
+
+#: A key no reference reaches: the scout walks the whole run.
+_NO_BOUND = float("inf")
 
 
 class VectorizedEngine(SimulationEngine):
@@ -75,15 +78,16 @@ class VectorizedEngine(SimulationEngine):
         super().__init__(system, items)
         n = len(items)
         self._pos = [0] * n
-        self._soa: List[Optional[SoATrace]] = [
+        columns: List[Optional[SoATrace]] = [
             SoATrace(t) if t is not None else None for t in items]
         self._journal: Optional[MirrorJournal] = None
-        self._run_len = [0] * n
-        self._park_clock = [0] * n
+        # Per-core timing state at the end of the classified run
+        # (written by the scout, adopted by the full commit).
         self._scout: List[Optional[tuple]] = [None] * n
         # Reusable per-core scratch (cleared at each classification):
         # the blocks of the classified run, and the L1 line object per
-        # run reference (None where the bulk path skipped the probe).
+        # uncommitted run reference — its length is the uncommitted run
+        # length.
         self._run_blocks: List[set] = [set() for _ in range(n)]
         self._run_lines: List[list] = [[] for _ in range(n)]
         self._limit = [0] * n
@@ -91,13 +95,13 @@ class VectorizedEngine(SimulationEngine):
         # loop, classifier and serve path index these instead of
         # chasing object attributes per reference.
         self._blocks = [t.blocks if t is not None else None
-                        for t in self._soa]
+                        for t in columns]
         self._writes = [t.writes if t is not None else None
-                        for t in self._soa]
+                        for t in columns]
         self._gaps = [t.gaps if t is not None else None
-                      for t in self._soa]
+                      for t in columns]
         self._deps = [t.deps if t is not None else None
-                      for t in self._soa]
+                      for t in columns]
         self._l1s = system.l1s
         self._l1_sets = [l1._sets for l1 in system.l1s]
         self._l1_nsets = [l1.num_sets for l1 in system.l1s]
@@ -112,15 +116,11 @@ class VectorizedEngine(SimulationEngine):
         self._mo = core_cfg.max_outstanding
         self._l1_bucket = min(self._l1_lat.bit_length(), _HIST_BUCKETS - 1)
         self._rec_local = system._access_rec[Supplier.L1_LOCAL.idx]
-        # Core timing state (CoreModel.clock/instructions/stall_cycles/
-        # memory_refs/_outstanding) hoisted into flat per-core lists for
-        # the span of a fast phase; loaded from and resynchronized to
-        # the live CoreModel objects at the phase boundaries.
-        self._clock_v = [0] * n
-        self._instr_v = [0] * n
-        self._stall_v = [0] * n
-        self._mem_v = [0] * n
-        self._out_v: List[deque] = [deque() for _ in range(n)]
+        # Core timing state, one (clock, instructions, stall_cycles,
+        # memory_refs, outstanding) tuple per core — the CoreModel
+        # fields — for the span of a fast phase; loaded from and written
+        # back to the live CoreModel objects at the phase boundaries.
+        self._state: List[Optional[tuple]] = [None] * n
 
     # -- reference-path integration ------------------------------------------
 
@@ -154,29 +154,22 @@ class VectorizedEngine(SimulationEngine):
         ncores = len(cores)
         journal = self._journal
         if journal is None:
-            journal = MirrorJournal(ncores, system.ledger.total_tokens)
+            journal = MirrorJournal(ncores)
             self._journal = journal
         journal.install(system.l1s, system.ledger)
-        # Load core timing state into the flat per-phase lists; the
+        # Load core timing state into the per-phase tuples; the
         # ``finally`` below writes them back so the CoreModel objects
         # are authoritative again whenever observers can look (between
         # phases, and on any exception).
-        clocks = self._clock_v
-        instrs_v = self._instr_v
-        stalls_v = self._stall_v
-        mems_v = self._mem_v
-        outs_v = self._out_v
+        states = self._state
         for cid in range(ncores):
             c = cores[cid]
-            clocks[cid] = c.clock
-            instrs_v[cid] = c.instructions
-            stalls_v[cid] = c.stall_cycles
-            mems_v[cid] = c.memory_refs
-            outs_v[cid] = c._outstanding
+            states[cid] = (c.clock, c.instructions, c.stall_cycles,
+                           c.memory_refs, c._outstanding)
         try:
             limits = self._limit
             pos = self._pos
-            run_len = self._run_len
+            run_lines = self._run_lines
             need: List[int] = []
             for cid in range(ncores):
                 trace = self.traces[cid]
@@ -205,11 +198,11 @@ class VectorizedEngine(SimulationEngine):
             rec_local = self._rec_local
             while True:
                 for cid in need:
-                    self._classify_and_scout(cid)
+                    park = self._classify_and_scout(cid)
                     v = vers[cid]
-                    heappush(park_heap, (self._park_clock[cid], cid, v))
-                    if run_len[cid]:
-                        heappush(commit_heap, (clocks[cid], cid, v))
+                    heappush(park_heap, (park, cid, v))
+                    if run_lines[cid]:
+                        heappush(commit_heap, (states[cid][0], cid, v))
                 need = []
                 owner = -1
                 while park_heap:
@@ -230,10 +223,10 @@ class VectorizedEngine(SimulationEngine):
                     if cid == owner:
                         continue
                     self._commit_bounded(cid, kc, owner)
-                    if run_len[cid]:
+                    if run_lines[cid]:
                         heappush(commit_heap,
-                                 (clocks[cid], cid, vers[cid]))
-                if run_len[owner]:
+                                 (states[cid][0], cid, vers[cid]))
+                if run_lines[owner]:
                     self._commit_full(owner)
                 vers[owner] += 1
                 if pos[owner] >= limits[owner]:
@@ -245,12 +238,13 @@ class VectorizedEngine(SimulationEngine):
                 # without heap churn while (a) nothing got dirtied —
                 # re-classification only ever moves park keys earlier,
                 # so it must precede owner selection — and (b) no valid
-                # parked core orders before the owner. Short local
-                # stretches are served eagerly too (their effects stay
-                # on the owner's own L1, so they commute with
-                # everything the heaps defer); runs longer than a small
-                # streak fall back to the classifier so the bulk numpy
-                # path keeps owning high-hit phases. Core timing state
+                # parked core orders before the owner. Local references
+                # are served here too (their effects stay on the
+                # owner's own L1, so they commute with everything the
+                # heaps defer), but only 16 in a row: the 17th
+                # consecutive local reference ends the burst and the
+                # owner is re-classified, so a long local stretch is
+                # committed as one classified run. Core timing state
                 # lives in locals across the whole burst and is stored
                 # back once at the end.
                 #
@@ -271,11 +265,7 @@ class VectorizedEngine(SimulationEngine):
                 l1 = l1s[owner]
                 hits_c = l1._hits
                 misses_c = l1._misses
-                clock = clocks[owner]
-                instr = instrs_v[owner]
-                stalls = stalls_v[owner]
-                mem = mems_v[owner]
-                out = outs_v[owner]
+                clock, instr, stalls, mem, out = states[owner]
                 p = pos[owner]
                 limit = limits[owner]
                 streak = 0
@@ -285,8 +275,8 @@ class VectorizedEngine(SimulationEngine):
                     local = line is not None and (not writes[p]
                                                   or line.tokens == total)
                     if local and streak >= 16:
-                        # Long local run: hand off to the classifier,
-                        # whose bulk numpy path owns high-hit stretches.
+                        # 16 local serves in a row: hand the rest of
+                        # the stretch to the classifier (see above).
                         break
                     # Owner must be confirmed the global minimum BEFORE
                     # each serve: an earlier-keyed parked core's serve
@@ -311,10 +301,8 @@ class VectorizedEngine(SimulationEngine):
                             # classification's first-probe would
                             # conclude — so park directly on
                             # (clock, owner) without the
-                            # _classify_and_scout round trip.
-                            self._run_len[owner] = 0
-                            self._park_clock[owner] = clock
-                            self._scout[owner] = None
+                            # _classify_and_scout round trip (the
+                            # owner's run was committed in full above).
                             heappush(park_heap, (clock, owner,
                                                  vers[owner]))
                             parked = True
@@ -334,13 +322,12 @@ class VectorizedEngine(SimulationEngine):
                                 break
                             heappop(commit_heap)
                             self._commit_bounded(ccid, clock, owner)
-                            if run_len[ccid]:
+                            if run_lines[ccid]:
                                 heappush(commit_heap,
-                                         (clocks[ccid], ccid,
+                                         (states[ccid][0], ccid,
                                           vers[ccid]))
                     # --- timing step: exact CoreModel port (keep in
-                    # sync with repro/sim/cpu.py; also mirrored in
-                    # _classify_and_scout) ---
+                    # sync with repro/sim/cpu.py and _walk) ---
                     gap = gaps[p]
                     if gap:
                         instr += gap
@@ -437,11 +424,7 @@ class VectorizedEngine(SimulationEngine):
                         streak = 0
                         if dirty_set:
                             break
-                clocks[owner] = clock
-                instrs_v[owner] = instr
-                stalls_v[owner] = stalls
-                mems_v[owner] = mem
-                outs_v[owner] = out
+                states[owner] = (clock, instr, stalls, mem, out)
                 pos[owner] = p
                 if not parked and p < limit:
                     need.append(owner)
@@ -451,11 +434,8 @@ class VectorizedEngine(SimulationEngine):
             journal.uninstall(system.l1s, system.ledger)
             for cid in range(ncores):
                 c = cores[cid]
-                c.clock = clocks[cid]
-                c.instructions = instrs_v[cid]
-                c.stall_cycles = stalls_v[cid]
-                c.memory_refs = mems_v[cid]
-                c._outstanding = outs_v[cid]
+                (c.clock, c.instructions, c.stall_cycles, c.memory_refs,
+                 c._outstanding) = states[cid]
             # Per-serve progress bookkeeping is deferred to here:
             # ``_refs``/``_processed`` are only read between phases.
             refs = self._refs
@@ -470,215 +450,87 @@ class VectorizedEngine(SimulationEngine):
         owner's serves. Parked-at-contention cores keep an exact park
         key (timing of committed refs only); their contention is
         re-examined at serve time through the full access path."""
-        run_len = self._run_len
+        run_lines = self._run_lines
         pos = self._pos
         limits = self._limit
         journal = self._journal
         for cid in dirty:
             if (cid == owner or self.traces[cid] is None
-                    or run_len[cid] == 0 or pos[cid] >= limits[cid]):
+                    or not run_lines[cid] or pos[cid] >= limits[cid]):
                 continue
             vers[cid] += 1
             journal.runs[cid] = None
             need.append(cid)
         dirty.clear()
 
-    # -- classification + scout timing walk ----------------------------------
+    # -- classification, the timing walk, commits ---------------------------
 
-    def _classify_and_scout(self, cid: int) -> None:
+    def _classify_and_scout(self, cid: int) -> int:
+        """Classify the core's maximal local run from its position and
+        time it; returns the park clock (the key of the reference after
+        the run). Classification reads L1 membership and token counts,
+        never the clock; only the closing scout walk does timing."""
         pos = self._pos[cid]
         blocks = self._blocks[cid]
         writes = self._writes[cid]
         sets = self._l1_sets[cid]
         nsets = self._l1_nsets[cid]
         total = self._total_tokens
+        journal = self._journal
+        run_lines = self._run_lines[cid]
+        run_lines.clear()
+        state = self._state[cid]
         # Cheap first-reference probe: contention-parked cores (the
-        # common case on miss-heavy phases) never pay the scratch-state
-        # copy below.
+        # common case on miss-heavy phases) never pay the setup below.
         block = blocks[pos]
         line = sets[block % nsets].get(block)
         if line is None or (writes[pos] and line.tokens != total):
-            self._run_len[cid] = 0
-            self._park_clock[cid] = self._clock_v[cid]
-            self._scout[cid] = None
-            self._journal.runs[cid] = None
-            return
-        trace = self._soa[cid]
+            journal.runs[cid] = None
+            return state[0]
         limit = self._limit[cid]
-        journal = self._journal
-        gaps = trace.gaps
-        deps = trace.deps
-        iw = self._iw
-        win = self._win
-        mo = self._mo
-        l1_lat = self._l1_lat
-        clock = self._clock_v[cid]
-        instr = self._instr_v[cid]
-        stalls = self._stall_v[cid]
-        mem = self._mem_v[cid]
-        out = deque(self._out_v[cid])
         run_blocks = self._run_blocks[cid]
         run_blocks.clear()
         add_block = run_blocks.add
-        run_lines = self._run_lines[cid]
-        run_lines.clear()
         add_line = run_lines.append
-        # Scalar membership probes with a bulk escape hatch: once 64
-        # consecutive references classify local, upcoming chunks are
-        # classified in one numpy pass over the SoA columns (high-hit
-        # traces spend almost no time probing; miss-heavy traces never
-        # reach the streak and never pay the numpy fixed costs).
-        streak = 0
-        bulk_until = pos
-        i = pos
+        add_block(block)
+        add_line(line)
+        i = pos + 1
         while i < limit:
             block = blocks[i]
-            line = None
-            if i >= bulk_until:
-                if streak >= 64 and limit - i >= 128:
-                    chunk = min(i + 1024, limit) - i
-                    known = soa.local_prefix_length(
-                        trace, i, i + chunk,
-                        journal.resident_array(cid), journal.full_array(cid))
-                    if known is not None:
-                        if known < chunk:
-                            # The chunk contains a (possibly
-                            # conservative) stop; demand a fresh streak
-                            # before scanning again.
-                            streak = 0
-                        if known == 0:
-                            break
-                        bulk_until = i + known
-                if i >= bulk_until:
-                    line = sets[block % nsets].get(block)
-                    if line is None or (writes[i] and line.tokens != total):
-                        break
-                    streak += 1
+            line = sets[block % nsets].get(block)
+            if line is None or (writes[i] and line.tokens != total):
+                break
             add_block(block)
-            add_line(line)  # None in bulk regions: committed via lookup
-            # --- timing step: exact CoreModel port (keep in sync with
-            # repro/sim/cpu.py; also mirrored in _commit_bounded) ---
-            gap = gaps[i]
-            if gap:
-                instr += gap
-                clock += -(-gap // iw)
-                while out and out[0][0] <= clock:
-                    out.popleft()
-                while out and instr - out[0][1] >= win:
-                    when = out[0][0]
-                    if when > clock:
-                        stalls += when - clock
-                        clock = when
-                    while out and out[0][0] <= clock:
-                        out.popleft()
-                    if out and out[0][0] <= clock:  # pragma: no cover - guard
-                        out.popleft()
-            complete = clock + l1_lat
-            instr += 1
-            mem += 1
-            while out and out[0][0] <= clock:
-                out.popleft()
-            while len(out) >= mo:
-                earliest = min(out)[0]
-                if earliest > clock:
-                    stalls += earliest - clock
-                    clock = earliest
-                while out and out[0][0] <= clock:
-                    out.popleft()
-                before = len(out)
-                out = deque(p for p in out if p[0] > clock)
-                if len(out) == before:  # pragma: no cover - guard
-                    break
-            if deps[i]:
-                if complete > clock:
-                    stalls += complete - clock
-                    clock = complete
-                while out and out[0][0] <= clock:
-                    out.popleft()
-            else:
-                out.append((complete, instr))
-                while out and instr - out[0][1] >= win:
-                    when = out[0][0]
-                    if when > clock:
-                        stalls += when - clock
-                        clock = when
-                    while out and out[0][0] <= clock:
-                        out.popleft()
-                    if out and out[0][0] <= clock:  # pragma: no cover - guard
-                        out.popleft()
-            # --- end timing step ---
+            add_line(line)
             i += 1
-        self._run_len[cid] = i - pos
-        self._park_clock[cid] = clock
-        self._scout[cid] = (clock, instr, stalls, mem, out)
-        journal.runs[cid] = run_blocks if i > pos else None
+        journal.runs[cid] = run_blocks
+        clock, instr, stalls, mem, out = state
+        scout = self._walk(cid, pos, i, (clock, instr, stalls, mem,
+                                         deque(out)), _NO_BOUND, 0)[1]
+        self._scout[cid] = scout
+        return scout[0]
 
-    # -- committing local runs -----------------------------------------------
+    def _walk(self, cid: int, start: int, end: int, state: tuple,
+              kc: float, kcid: int) -> tuple:
+        """Apply the ``CoreModel`` step to local references
+        ``start``..``end - 1`` of core ``cid`` (each completes at the L1
+        access latency), stopping before the first reference whose key
+        ``(clock, cid)`` does not order strictly before ``(kc, kcid)``.
 
-    def _commit_full(self, cid: int) -> None:
-        """Apply the whole classified run: functional effects per
-        reference, timing state assigned from the scout walk."""
-        n = self._run_len[cid]
-        if n == 0:
-            return
-        pos = self._pos[cid]
-        trace = self._soa[cid]
-        blocks = trace.blocks
-        writes = trace.writes
-        l1 = self.system.l1s[cid]
-        sets = l1._sets
-        nsets = l1.num_sets
-        stamp = l1._stamp
-        run_lines = self._run_lines[cid]
-        for i in range(pos, pos + n):
-            line = run_lines[i - pos]
-            if line is None:  # classified by the bulk path: look up now
-                block = blocks[i]
-                line = sets[block % nsets][block]
-            stamp += 1
-            line.lru = stamp
-            line.reused = True
-            if writes[i]:
-                line.dirty = True
-        l1._stamp = stamp
-        (self._clock_v[cid], self._instr_v[cid], self._stall_v[cid],
-         self._mem_v[cid], self._out_v[cid]) = self._scout[cid]
-        self._scout[cid] = None
-        self._run_len[cid] = 0
-        self._journal.runs[cid] = None
-        self._flush_committed(cid, l1, n, pos + n)
-
-    def _commit_bounded(self, cid: int, kc: int, kcid: int) -> None:
-        """Commit run references whose keys order strictly before the
-        owner's park key ``(kc, kcid)``; timing replayed per reference
-        (the walk is deterministic, so a later full commit of the
-        remainder still lands exactly on the scout state)."""
-        n = self._run_len[cid]
-        trace = self._soa[cid]
-        gaps = trace.gaps
-        blocks = trace.blocks
-        writes = trace.writes
-        deps = trace.deps
-        l1 = self.system.l1s[cid]
-        sets = l1._sets
-        nsets = l1.num_sets
-        stamp = l1._stamp
-        run_lines = self._run_lines[cid]
+        Returns the index it stopped at and the timing state there. The
+        outstanding deque of ``state`` is advanced in place, so the
+        scout passes a copy. This is the one copy of the step outside
+        the serve burst — keep it in sync with repro/sim/cpu.py.
+        """
+        gaps = self._gaps[cid]
+        deps = self._deps[cid]
         iw = self._iw
         win = self._win
         mo = self._mo
         l1_lat = self._l1_lat
-        clock = self._clock_v[cid]
-        instr = self._instr_v[cid]
-        stalls = self._stall_v[cid]
-        mem = self._mem_v[cid]
-        out = self._out_v[cid]
-        pos = self._pos[cid]
-        end = pos + n
-        i = pos
+        clock, instr, stalls, mem, out = state
+        i = start
         while i < end and (clock < kc or (clock == kc and cid < kcid)):
-            # --- timing step: exact CoreModel port (keep in sync with
-            # repro/sim/cpu.py; also mirrored in _classify_and_scout) ---
             gap = gaps[i]
             if gap:
                 instr += gap
@@ -727,37 +579,31 @@ class VectorizedEngine(SimulationEngine):
                         out.popleft()
                     if out and out[0][0] <= clock:  # pragma: no cover - guard
                         out.popleft()
-            # --- end timing step ---
-            line = run_lines[i - pos]
-            if line is None:  # classified by the bulk path: look up now
-                block = blocks[i]
-                line = sets[block % nsets][block]
-            stamp += 1
-            line.lru = stamp
-            line.reused = True
-            if writes[i]:
-                line.dirty = True
             i += 1
-        committed = i - pos
-        if not committed:
-            return
-        l1._stamp = stamp
-        self._clock_v[cid] = clock
-        self._instr_v[cid] = instr
-        self._stall_v[cid] = stalls
-        self._mem_v[cid] = mem
-        self._out_v[cid] = out
-        self._run_len[cid] = n - committed
-        if self._run_len[cid] == 0:
-            self._scout[cid] = None
-            self._journal.runs[cid] = None
-        else:
-            # Keep the cached-line list aligned with the new run start.
-            del run_lines[:committed]
-        self._flush_committed(cid, l1, committed, i)
+        return i, (clock, instr, stalls, mem, out)
 
-    def _flush_committed(self, cid: int, l1, n: int, new_pos: int) -> None:
-        """Batched equivalent of n reference-path L1 hits' statistics.
+    def _commit_full(self, cid: int) -> None:
+        """Apply the whole classified run, adopting the scout's timing
+        state."""
+        self._state[cid] = self._scout[cid]
+        self._commit_prefix(cid, len(self._run_lines[cid]))
+
+    def _commit_bounded(self, cid: int, kc: int, kcid: int) -> None:
+        """Commit the run references whose keys order strictly before
+        the owner's park key ``(kc, kcid)``. The walk is deterministic,
+        so a later full commit of the remainder still lands exactly on
+        the scout state."""
+        pos = self._pos[cid]
+        end, state = self._walk(cid, pos, pos + len(self._run_lines[cid]),
+                                self._state[cid], kc, kcid)
+        if end > pos:
+            self._state[cid] = state
+            self._commit_prefix(cid, end - pos)
+
+    def _commit_prefix(self, cid: int, n: int) -> None:
+        """Apply the functional effects of the run's first ``n``
+        references (LRU stamp, reuse and dirty bits) and the batched
+        equivalent of their reference-path L1-hit statistics.
 
         Every local reference records Supplier.L1_LOCAL with a constant
         latency (the L1 access latency), so the counter and histogram
@@ -765,9 +611,25 @@ class VectorizedEngine(SimulationEngine):
         counter and flat supplier record the reference path uses, so
         warm-up resets and finalize snapshots need no special handling.
         """
+        pos = self._pos[cid]
+        writes = self._writes[cid]
+        l1 = self._l1s[cid]
+        stamp = l1._stamp
+        run_lines = self._run_lines[cid]
+        for i in range(pos, pos + n):
+            line = run_lines[i - pos]
+            stamp += 1
+            line.lru = stamp
+            line.reused = True
+            if writes[i]:
+                line.dirty = True
+        l1._stamp = stamp
+        del run_lines[:n]
+        if not run_lines:
+            self._journal.runs[cid] = None
         l1._hits.value += n
         rec = self._rec_local
         rec[0] += n
         rec[1] += n * self._l1_lat
         rec[2 + self._l1_bucket] += n
-        self._pos[cid] = new_pos
+        self._pos[cid] = pos + n

@@ -14,6 +14,9 @@ Layers, cheapest first:
   that back the stats tables;
 * **fallback path** — checker-enabled runs take the reference schedule
   inside the vectorized engine and still match;
+* **bounded-commit tie** — a directed two-core trace where a local
+  read ties with another core's write on the clock;
+* **long local runs** — a high-hit trace;
 * **selection plumbing** — ``RunSettings.engine`` is honored through
   the executor (serial and pooled take the same ``simulate_point``
   seam) and validated at construction.
@@ -28,12 +31,16 @@ from repro.check.oracles import (FUZZ_ARCHITECTURES, fuzz_traces,
                                  oracle_flat_unbounded, oracle_pinned_zero,
                                  small_config)
 from repro.common.config import scaled_config
+from repro.common.rng import substream
 from repro.harness.executor import Executor, RunPoint
 from repro.harness.runcache import RunCache
 from repro.harness.runner import RunSettings
+from repro.sim.cpu import TraceItem, TraceKind
 from repro.sim.engines import (DEFAULT_ENGINE, ENGINES, build_engine,
                                resolve_engine)
+from repro.sim.request import Supplier
 from repro.sim.system import CmpSystem
+from repro.sim.tracing import AccessTracer
 from repro.workloads.base import TraceGenerator
 from repro.workloads.registry import get_workload
 
@@ -47,6 +54,36 @@ def workload_traces(workload: str, seed: int, refs: int, config):
     spec = get_workload(workload).capacity_scaled(8).scaled(refs)
     return [list(t) if t is not None else None
             for t in TraceGenerator(spec, seed).traces(config.num_cores)]
+
+
+def high_hit_traces(config, refs: int, seed: int):
+    """Each core cycles over a private working set of a quarter of its
+    L1 (the 0.25 point of ``locality_sweep`` in
+    benchmarks/bench_vectorized.py), one reference in four a store.
+    One reference in 64 goes to an 8-block pool every core shares and
+    one in 256 to a fresh block, so the long local runs are cut by
+    misses, evictions and token losses."""
+    l1_blocks = config.l1.size // config.l1.block_size
+    working_set = l1_blocks // 4
+    traces = []
+    for core in range(config.num_cores):
+        rng = substream(seed, f"high-hit-core{core}")
+        base = 0x400000 + core * 0x40000
+        items = []
+        for n in range(refs):
+            pick = rng.randrange(256)
+            if pick == 0:
+                block = base + 0x1000 + n
+            elif pick < 5:
+                block = 0x100 + rng.randrange(8)
+            else:
+                block = base + rng.randrange(working_set)
+            items.append(TraceItem(
+                gap=rng.randrange(3), block=block,
+                kind=(TraceKind.STORE if rng.randrange(4) == 0
+                      else TraceKind.LOAD)))
+        traces.append(items)
+    return traces
 
 
 def assert_identical(ref: dict, vec: dict, label: str) -> None:
@@ -148,6 +185,51 @@ class TestFallbackPath:
         ref = run_engine("reference", "esp-nuca", traces, config)
         vec = run_engine("vectorized", "esp-nuca", traces, config)
         assert_identical(ref, vec, "checked esp-nuca")
+
+
+class TestBoundedCommitTie:
+    """A local run commits only the references whose key ``(clock,
+    core)`` orders strictly before the owner's: on an exact clock tie
+    the lower core id goes first.
+
+    Core 1 fetches a block, then reads it twice more, both times at
+    clock 1; core 0 writes the same block at clock 1 and needs core
+    1's token to do so. The first of those reads is keyed by the clock
+    before its gap, (0, 1), so it commits from core 1's L1 ahead of the
+    write; the second is keyed (1, 1), ties with the write's (1, 0),
+    orders after it and misses. Committing it as part of core 1's
+    local run would count it as a local hit."""
+
+    def test_exact_clock_tie_orders_by_core_id(self) -> None:
+        config = small_config(checks=False)
+        block = 0x100
+        load, store = TraceKind.LOAD, TraceKind.STORE
+        traces = [None] * config.num_cores
+        traces[0] = [TraceItem(1, block, load), TraceItem(0, block, store)]
+        traces[1] = [TraceItem(0, block, load), TraceItem(1, block, load),
+                     TraceItem(0, block, load)]
+        system = CmpSystem(config, make_architecture("esp-nuca", config))
+        with AccessTracer(system) as tracer:
+            ref = build_engine(system, traces, "reference").run().to_dict()
+        write, read = [(e.issue, e.core, e.supplier)
+                       for e in tracer.events[-2:]]
+        assert write == (1, 0, Supplier.L1_LOCAL)
+        assert read == (1, 1, Supplier.L1_REMOTE)
+        vec = run_engine("vectorized", "esp-nuca", traces, config)
+        assert_identical(ref, vec, "esp-nuca, exact clock tie")
+
+
+class TestLongLocalRuns:
+    """High-hit phases commit local runs hundreds of references long,
+    cut by misses, evictions and token losses."""
+
+    def test_high_hit_trace(self) -> None:
+        config = scaled_config(8)
+        traces = high_hit_traces(config, refs=2000, seed=9)
+        ref = run_engine("reference", "esp-nuca", traces, config)
+        vec = run_engine("vectorized", "esp-nuca", traces, config)
+        assert ref["l1_hits"] > 0.95 * (ref["l1_hits"] + ref["l1_misses"])
+        assert_identical(ref, vec, "esp-nuca, high-hit trace")
 
 
 class TestSelectionPlumbing:

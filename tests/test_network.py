@@ -124,7 +124,9 @@ class TestStatistics:
             access(system, 0, block)  # shared-bank L2 hit
             return system.network.messages_sent - before
 
-        assert shared_traffic("sp-nuca") >= shared_traffic("shared")
+        shared = shared_traffic("shared")
+        assert shared > 0  # the shared-bank hit is counted at all
+        assert shared_traffic("sp-nuca") >= shared
 
     def test_deliver_fills_message(self):
         net = fresh_network()

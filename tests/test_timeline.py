@@ -11,11 +11,11 @@ from tests.util import build, tiny_config
 
 def run_with_recorder(trace_blocks, period=32):
     system = build("esp-nuca", check_tokens=False)
-    recorder = TimelineRecorder(system.architecture, period=period).install()
     trace = [TraceItem(gap=1, block=b, kind=TraceKind.LOAD)
              for b in trace_blocks]
     traces = [iter(trace)] + [None] * 7
-    SimulationEngine(system, traces).run()
+    with TimelineRecorder(system.architecture, period=period) as recorder:
+        SimulationEngine(system, traces).run()
     return recorder
 
 
@@ -52,21 +52,37 @@ class TestRecording:
             TimelineRecorder(EspNuca(tiny_config()))
 
     def test_double_install_is_idempotent(self):
-        system = build("esp-nuca")
-        recorder = TimelineRecorder(system.architecture, period=8)
-        assert recorder.install() is recorder.install()
-        assert recorder.installed
+        def samples(nested):
+            system = build("esp-nuca", check_tokens=False)
+            recorder = TimelineRecorder(system.architecture, period=1)
+            with recorder as outer:
+                if nested:
+                    with recorder as inner:
+                        assert inner is outer
+                        assert recorder.installed
+                        system.access(0, 0x100, False, 0)
+                else:
+                    system.access(0, 0x100, False, 0)
+            return [s.events for s in recorder.samples]
+
+        # Entering an installed recorder again subscribes nothing more:
+        # every monitored event is counted once.
+        assert samples(nested=True) == samples(nested=False) != []
 
     def test_uninstall_is_idempotent_and_stops_recording(self):
         system = build("esp-nuca", check_tokens=False)
         recorder = TimelineRecorder(system.architecture, period=1)
-        recorder.install()
-        system.access(0, 0x100, False, 0)
-        seen = len(recorder.samples)
-        recorder.uninstall()
-        recorder.uninstall()  # second uninstall is a no-op
+        with recorder:
+            with recorder:
+                system.access(0, 0x100, False, 0)
+            seen = len(recorder.samples)
+            assert seen
+            assert not recorder.installed  # the inner exit detached
+            system.access(0, 0x200, False, 1000)
+        # The outer exit detaches a second time: a no-op.
         assert not recorder.installed
-        system.access(0, 0x200, False, 1000)
+        assert not system.tracer.enabled  # private tracer restored
+        system.access(0, 0x300, False, 2000)
         assert len(recorder.samples) == seen
 
     def test_context_manager_detaches_on_exception(self):

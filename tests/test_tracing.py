@@ -11,9 +11,9 @@ from tests.util import build
 class TestTracer:
     def test_records_events_with_outcomes(self):
         system = build("sp-nuca", check_tokens=False)
-        tracer = AccessTracer(system).install()
-        system.access(0, 0x123, False, 0)
-        system.access(0, 0x123, False, 1000)
+        with AccessTracer(system) as tracer:
+            system.access(0, 0x123, False, 0)
+            system.access(0, 0x123, False, 1000)
         assert len(tracer.events) == 2
         assert tracer.events[0].supplier is Supplier.OFFCHIP
         assert tracer.events[1].supplier is Supplier.L1_LOCAL
@@ -21,32 +21,31 @@ class TestTracer:
 
     def test_classification_captured(self):
         system = build("sp-nuca", check_tokens=False)
-        tracer = AccessTracer(system).install()
-        system.access(2, 0x44, False, 0)
+        with AccessTracer(system) as tracer:
+            system.access(2, 0x44, False, 0)
         assert tracer.events[0].classification == "private"
 
     def test_filters(self):
         system = build("shared", check_tokens=False)
-        tracer = AccessTracer(system, core_filter=lambda c: c == 1).install()
-        system.access(0, 0x1, False, 0)
-        system.access(1, 0x2, False, 0)
+        with AccessTracer(system, core_filter=lambda c: c == 1) as tracer:
+            system.access(0, 0x1, False, 0)
+            system.access(1, 0x2, False, 0)
         assert len(tracer.events) == 1
         assert tracer.events[0].core == 1
 
     def test_limit_drops_and_reports(self):
         system = build("shared", check_tokens=False)
-        tracer = AccessTracer(system, limit=2).install()
-        for i in range(5):
-            system.access(0, 0x100 + i, False, i * 10)
+        with AccessTracer(system, limit=2) as tracer:
+            for i in range(5):
+                system.access(0, 0x100 + i, False, i * 10)
         assert len(tracer.events) == 2
         assert tracer.dropped == 3
         assert "dropped" in tracer.format()
 
     def test_uninstall_restores(self):
         system = build("shared", check_tokens=False)
-        tracer = AccessTracer(system).install()
-        assert system.tracer.enabled  # listener-only tracer in place
-        tracer.uninstall()
+        with AccessTracer(system) as tracer:
+            assert system.tracer.enabled  # listener-only tracer in place
         assert not system.tracer.enabled  # back to the null tracer
         system.access(0, 0x1, False, 0)
         assert tracer.events == []
@@ -65,9 +64,9 @@ class TestTracer:
 
     def test_queries_and_format(self):
         system = build("shared", check_tokens=False)
-        tracer = AccessTracer(system).install()
-        system.access(0, 0xAA, True, 0)
-        system.access(3, 0xBB, False, 50)
+        with AccessTracer(system) as tracer:
+            system.access(0, 0xAA, True, 0)
+            system.access(3, 0xBB, False, 50)
         assert len(tracer.for_block(0xAA)) == 1
         assert len(tracer.by_supplier(Supplier.OFFCHIP)) == 2
         text = tracer.format(last=1)
