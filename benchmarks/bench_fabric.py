@@ -24,13 +24,14 @@ Usage::
 """
 
 import argparse
-import json
 import os
 import sys
 import tempfile
 import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+
+from benchreport import add_out_argument, save_report
 
 from repro.harness.executor import Executor
 from repro.harness.runcache import RunCache
@@ -70,8 +71,7 @@ def main(argv=None):
     parser.add_argument("--max-workers", type=int, default=None,
                         help="widest fabric to measure (default: CPU "
                              "count when > 2)")
-    parser.add_argument("--out", default=os.path.join(
-        os.path.dirname(__file__), "..", "BENCH_fabric.json"))
+    add_out_argument(parser, "BENCH_fabric.json")
     args = parser.parse_args(argv)
     archs = QUICK_ARCHS if args.quick else ARCHS
     workloads = QUICK_WORKLOADS if args.quick else WORKLOADS
@@ -137,12 +137,7 @@ def main(argv=None):
             f"(workers_2 used {passes['workers_2'].get('worker_pids_used')} "
             "worker pids) with byte-identical results; rerun on a "
             "multi-core host for the scaling figure.")
-    out = os.path.abspath(args.out)
-    with open(out, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    print(json.dumps(payload, indent=2))
-    print(f"\nwrote {out}")
+    save_report(payload, args.out, "BENCH_fabric.json", args.quick)
     if cpus >= 2:
         assert scaling_2 >= 1.7, \
             f"workers=2 cold-grid speedup {scaling_2}x below the 1.7x bar"

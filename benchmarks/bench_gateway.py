@@ -22,13 +22,14 @@ Usage::
 """
 
 import argparse
-import json
 import os
 import sys
 import tempfile
 import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+
+from benchreport import add_out_argument, save_report
 
 from repro.common.config import scaled_config
 from repro.gateway import GatewayClient, GatewayConfig, GatewayThread, JobStore
@@ -149,8 +150,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
                         help="fewer submits and a 200-job backlog for CI")
-    parser.add_argument("--out", default=os.path.join(
-        os.path.dirname(__file__), "..", "BENCH_gateway.json"))
+    add_out_argument(parser, "BENCH_gateway.json")
     args = parser.parse_args(argv)
     submits = 30 if args.quick else 100
     backlog = 200 if args.quick else 1000
@@ -189,12 +189,7 @@ def main(argv=None):
                 "cache-resident: wall-clock until every job is done")),
         },
     }
-    out = os.path.abspath(args.out)
-    with open(out, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    print(json.dumps(payload, indent=2))
-    print(f"\nwrote {out}")
+    save_report(payload, args.out, "BENCH_gateway.json", args.quick)
     return 0
 
 

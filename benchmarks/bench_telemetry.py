@@ -55,7 +55,6 @@ Usage::
 
 import argparse
 import gc
-import json
 import os
 import sys
 import tempfile
@@ -63,6 +62,8 @@ import time
 from contextlib import ExitStack
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+
+from benchreport import add_out_argument, save_report
 
 from repro.common.config import scaled_config
 from repro.gateway import GatewayClient, GatewayConfig, GatewayThread
@@ -188,8 +189,7 @@ def main(argv=None):
     parser.add_argument("--repeats", type=int, default=None,
                         help="interleaved pair sessions "
                              "(default 12, or 2 with --quick)")
-    parser.add_argument("--out", default=os.path.join(
-        os.path.dirname(__file__), "..", "BENCH_telemetry.json"))
+    add_out_argument(parser, "BENCH_telemetry.json")
     args = parser.parse_args(argv)
     # Many short sessions, each with a *fresh* pair of gateway
     # instances: a session's event-loop threads can draw persistently
@@ -281,14 +281,10 @@ def main(argv=None):
             "enforced": not args.quick,
         },
     }
-    out = os.path.abspath(args.out)
-    with open(out, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    save_report(payload, args.out, "BENCH_telemetry.json", args.quick)
     print(f"on {on_t:.3f}s, off {off_t:.3f}s ({overhead:+.1%}, bound "
           f"{MAX_ON_OVERHEAD:.0%}{', informational under --quick' if args.quick else ''}); "
           f"scrape {scrape_s * 1e3:.2f}ms for {scrape_samples} samples")
-    print(f"wrote {out}")
     if args.quick:
         return 0
     return 0 if payload["acceptance"]["pass"] else 1

@@ -39,6 +39,8 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from benchreport import add_out_argument, save_report
+
 from repro.architectures.registry import make_architecture
 from repro.common.config import scaled_config
 from repro.common.rng import substream
@@ -213,8 +215,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
                         help="reduced grid for CI smoke runs")
-    parser.add_argument("--out", default=os.path.join(
-        os.path.dirname(__file__), "..", "BENCH_vectorized.json"))
+    add_out_argument(parser, "BENCH_vectorized.json")
     args = parser.parse_args(argv)
     config = scaled_config(SETTINGS.capacity_factor)
 
@@ -282,12 +283,7 @@ def main(argv=None):
                     "locality (locality_sweep)",
         },
     }
-    out = os.path.abspath(args.out)
-    with open(out, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    print(json.dumps(payload, indent=2))
-    print(f"\nwrote {out}")
+    save_report(payload, args.out, "BENCH_vectorized.json", args.quick)
     assert warm_speedup >= 10, \
         f"stack speedup {warm_speedup:.1f}x below the 10x acceptance bar"
     return 0

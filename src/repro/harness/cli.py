@@ -429,8 +429,8 @@ def _gateway(args: argparse.Namespace) -> int:
             except NotImplementedError:  # pragma: no cover — non-POSIX
                 pass
         await gateway.serve_forever()
-        print(f"gateway drained: {len(gateway.core.jobs)} live job(s), "
-              f"{gateway.c_recovered.value} recovered, "
+        print(f"gateway drained: {len(gateway.core.jobs)} job(s) this "
+              f"process, {gateway.c_recovered.value} recovered, "
               f"{gateway.c_admits.value} admitted over HTTP", flush=True)
 
     asyncio.run(_main())

@@ -111,6 +111,11 @@ class ServiceCore:
         self.batch = batch
         self.scheduler: Optional[q.Scheduler] = None
         self.jobs: Dict[str, Job] = {}
+        # owner -> {job id: job} for the jobs not yet seen terminal, and
+        # a tally of the ones that left it by terminal state: the
+        # aggregate views read these, never the whole job table.
+        self._live: Dict[str, Dict[str, Job]] = {}
+        self._terminal: Dict[str, int] = {}
         self.draining = False
         self._workers: List[asyncio.Task] = []
         self._pool: Optional[ThreadPoolExecutor] = None
@@ -141,7 +146,7 @@ class ServiceCore:
         self.draining = True
         if self.scheduler is not None:
             self.scheduler.close()
-        pending = [job.done for job in self.jobs.values()
+        pending = [job.done for job, _ in self._live_states()
                    if not job.done.done()]
         if pending:
             await asyncio.wait(pending)
@@ -311,9 +316,11 @@ class ServiceCore:
         priority = check_int(message, "priority", 0, -1_000_000)
         # ``check`` = invariant sweep period (0 = off, 1 = every access).
         check = check_int(message, "check", 0, 0)
-        config = self._configs.setdefault(
-            (settings.capacity_factor, check),
-            self._build_config(settings.capacity_factor, check))
+        config_key = (settings.capacity_factor, check)
+        config = self._configs.get(config_key)
+        if config is None:
+            config = self._configs[config_key] = \
+                self._build_config(*config_key)
         points = grid_points(config, settings, archs, workloads, seeds)
         return points, priority
 
@@ -360,6 +367,7 @@ class ServiceCore:
             job.attach(key, task)
             self._followers.setdefault(key, []).append(job)
         self.jobs[job.id] = job
+        self._live.setdefault(job.owner, {})[job.id] = job
         _log.debug("job admitted to core", job=job.id, owner=job.owner,
                    unique=len(unique), cached=job.cached,
                    coalesced=coalesced,
@@ -370,30 +378,41 @@ class ServiceCore:
 
     # -- aggregate views -----------------------------------------------------
 
+    def _live_states(self, owner: Optional[str] = None
+                     ) -> List[Tuple[Job, str]]:
+        """``(job, state)`` for every unfinished job (of one owner).
+        Terminal states are final, so a job found terminal leaves the
+        live map here and is tallied once. Works on copies: perfbench
+        reads :meth:`active_jobs` from outside the event loop thread."""
+        tables = (list(self._live.values()) if owner is None
+                  else [self._live.get(owner, {})])
+        live: List[Tuple[Job, str]] = []
+        for table in tables:
+            for job in list(table.values()):
+                state = job.state
+                if state not in TERMINAL:
+                    live.append((job, state))
+                elif table.pop(job.id, None) is not None:
+                    self._terminal[state] = self._terminal.get(state, 0) + 1
+        return live
+
     def active_jobs(self, owner: Optional[str] = None) -> int:
         """Unfinished jobs, optionally restricted to one owner (the
         gateway's per-tenant concurrent-job quota)."""
-        return sum(1 for job in self.jobs.values()
-                   if job.state not in TERMINAL
-                   and (owner is None or job.owner == owner))
+        return len(self._live_states(owner))
 
     def active_points(self, owner: Optional[str] = None) -> int:
         """Unfinished unique points across (an owner's) live jobs (the
         gateway's per-tenant queue-depth quota)."""
-        total = 0
-        for job in self.jobs.values():
-            if job.state in TERMINAL:
-                continue
-            if owner is not None and job.owner != owner:
-                continue
-            total += sum(1 for key in dict.fromkeys(job.order)
-                         if job.states.get(key) in (q.QUEUED, q.RUNNING))
-        return total
+        return sum(1 for job, _ in self._live_states(owner)
+                   for state in job.states.values()
+                   if state in (q.QUEUED, q.RUNNING))
 
     def jobs_by_state(self) -> Dict[str, int]:
-        by_state: Dict[str, int] = {}
-        for job in self.jobs.values():
-            by_state[job.state] = by_state.get(job.state, 0) + 1
+        live = self._live_states()
+        by_state = dict(self._terminal)
+        for _, state in live:
+            by_state[state] = by_state.get(state, 0) + 1
         return by_state
 
     def queue_status(self) -> Dict[str, int]:

@@ -117,6 +117,10 @@ class Job:
             self._emit()
 
     def _point_settled(self, key: str, fut: asyncio.Future) -> None:
+        if self.states.get(key) == q.CANCELLED:
+            # Released by this job's cancel; the task lived on for a
+            # coalesced job, and its outcome is not this job's.
+            return
         if fut.cancelled():
             self.states[key] = q.CANCELLED
         elif fut.exception() is not None:
@@ -160,12 +164,15 @@ class Job:
 
     @property
     def state(self) -> str:
+        """The job state derived from its points'. Terminal states are
+        final: a cancelled job ends ``cancelled`` even if a point it
+        left running fails afterwards."""
         states = [self.states[key] for key in dict.fromkeys(self.order)]
+        if self.cancelled and not any(s == q.RUNNING for s in states):
+            return J_CANCELLED
         if any(s == q.FAILED for s in states):
             pending = any(s in (q.QUEUED, q.RUNNING) for s in states)
             return J_RUNNING if pending else J_FAILED
-        if self.cancelled and not any(s == q.RUNNING for s in states):
-            return J_CANCELLED
         if all(s in (q.DONE, P_CACHED) for s in states):
             return J_DONE
         if any(s == q.RUNNING for s in states):

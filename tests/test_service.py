@@ -176,6 +176,23 @@ class TestProtocol:
             check_int({"n": -1}, "n", 1, 0)
         assert check_int({}, "n", 5, 0) == 5
 
+    def test_request_points_builds_each_config_once(self, monkeypatch):
+        from repro.service import core as service_core
+
+        built = []
+        scaled = service_core.scaled_config
+        monkeypatch.setattr(service_core, "scaled_config",
+                            lambda factor: built.append(factor) or
+                            scaled(factor))
+        core = service_core.ServiceCore(StubExecutor(), QUICK)
+        request = {"architectures": ["shared"], "workloads": ["apache"],
+                   "settings": SETTINGS_WIRE}
+        first, _ = core.request_points(request)
+        second, _ = core.request_points(request)
+        core.request_points(dict(request, check=64))
+        assert built == [QUICK.capacity_factor] * 2
+        assert [p.key for p in first] == [p.key for p in second]
+
     def test_parse_address_forms(self):
         assert parse_address("unix:/tmp/x.sock") == ("unix", "/tmp/x.sock")
         assert parse_address("example.org:1234") == \
@@ -189,13 +206,18 @@ class TestProtocol:
 
 # -- scheduler unit tests -----------------------------------------------------
 
+def keyed_points(n):
+    """``n`` distinct ``(cache key, RunPoint)`` pairs."""
+    from repro.common.config import scaled_config
+
+    config = scaled_config(QUICK.capacity_factor)
+    return [(p.key, p) for p in grid_points(
+        config, QUICK, ARCHS, WORKLOADS, range(n))][:n]
+
+
 class TestScheduler:
     def _points(self, n):
-        from repro.common.config import scaled_config
-
-        config = scaled_config(QUICK.capacity_factor)
-        return [(p.key, p) for p in grid_points(
-            config, QUICK, ARCHS, WORKLOADS, range(n))][:n]
+        return keyed_points(n)
 
     def test_admission_is_all_or_nothing(self):
         import asyncio
@@ -249,6 +271,219 @@ class TestScheduler:
             assert scheduler.inflight == 0
             scheduler.close()
             assert await scheduler.next_batch(10) is None
+
+        asyncio.run(scenario())
+
+
+# -- core unit tests: job states and the live-job views ------------------------
+
+class StubResult:
+    """Stands in for a SimResult: the core only serializes it."""
+
+    def to_dict(self):
+        return {"stub": True}
+
+
+class StubExecutor:
+    """What ServiceCore reads of an executor, with no simulation behind
+    it: a run cache that hits a fixed key set."""
+
+    jobs = 1
+    executed = 0
+
+    def __init__(self, hits=()):
+        self.hits = set(hits)
+        self.cache = self  # its own run cache: ``get`` below
+
+    def get(self, key):
+        return StubResult() if key in self.hits else None
+
+    def procs_busy(self):
+        return 0
+
+
+def unstarted_core(hits=()):
+    """A ServiceCore with a scheduler but no dispatchers: the test
+    drives dispatch and settlement itself."""
+    from repro.service.core import ServiceCore
+    from repro.service.queue import Scheduler
+
+    core = ServiceCore(StubExecutor(hits), QUICK, queue_limit=64)
+    core.scheduler = Scheduler(core.queue_limit)
+    return core
+
+
+def core_submit(core, owner, points, job_id):
+    """The core calls one ``POST /v1/jobs`` makes (``Gateway._submit``):
+    both quota reads, admission, seal and the reply."""
+    core.active_jobs(owner)
+    core.active_points(owner)
+    job, unique = core.create_job([p for _, p in points], 0, owner,
+                                  job_id, [k for k, _ in points])
+    core.admit(job, unique)
+    job.seal()
+    job.snapshot()
+    job.results()
+    return job
+
+
+def one_point_job(job_id, key, point):
+    from repro.service.progress import Job
+
+    return Job(job_id, [key], {key: (point.name, point.workload,
+                                     point.seed)}, 0, "anon")
+
+
+class TestJobStates:
+    def test_cancelled_job_stays_cancelled_when_shared_point_fails(self):
+        """Job A cancels a point job B coalesced onto; the point then
+        fails for B. A stays cancelled (as the store records it)."""
+        import asyncio
+
+        from repro.service.queue import Scheduler
+
+        async def scenario():
+            scheduler = Scheduler(limit=4)
+            (key, point), = keyed_points(1)
+            a = one_point_job("a", key, point)
+            b = one_point_job("b", key, point)
+            for job in (a, b):
+                tasks, _ = scheduler.admit([(key, point)])
+                job.attach(key, tasks[key])
+                job.seal()
+            a.cancel(scheduler)
+            assert scheduler.inflight == 1  # B still wants the point
+            scheduler.finish(tasks[key], error=RuntimeError("boom"))
+            await asyncio.sleep(0)
+            assert (a.state, b.state) == ("cancelled", "failed")
+            assert (a.done.result(), b.done.result()) == \
+                ("cancelled", "failed")
+            assert a.counts()["cancelled"] == 1 and not a.errors
+
+        asyncio.run(scenario())
+
+    def test_cancel_with_running_point_ends_cancelled(self):
+        """A point left running by a cancel completes for the cache; if
+        it fails, the job still ends cancelled."""
+        import asyncio
+
+        from repro.service.queue import Scheduler
+
+        async def scenario():
+            scheduler = Scheduler(limit=4)
+            (key, point), = keyed_points(1)
+            job = one_point_job("a", key, point)
+            tasks, _ = scheduler.admit([(key, point)])
+            job.attach(key, tasks[key])
+            job.seal()
+            batch = await scheduler.next_batch(1)
+            job.mark_running([key])
+            job.cancel(scheduler)
+            assert job.state == "running"
+            assert job.done.result() == "cancelled"
+            scheduler.finish(batch[0], error=RuntimeError("boom"))
+            await asyncio.sleep(0)
+            assert job.state == "cancelled"
+
+        asyncio.run(scenario())
+
+
+class TestLiveJobViews:
+    def test_cache_hit_submit_cost_is_independent_of_history(
+            self, monkeypatch):
+        """A cache-hit submit evaluates ``Job.state`` as often after 300
+        earlier terminal jobs as after 10."""
+        import asyncio
+
+        from repro.service.progress import Job
+
+        calls = []
+        state = Job.state
+        monkeypatch.setattr(Job, "state", property(
+            lambda job: calls.append(job.id) or state.fget(job)))
+        points = keyed_points(2)
+
+        async def evaluations(history):
+            core = unstarted_core(hits=[k for k, _ in points])
+            for i in range(history):
+                core_submit(core, "alice", points, f"h{i}")
+            before = len(calls)
+            job = core_submit(core, "alice", points, "measured")
+            spent = len(calls) - before
+            assert job.state == "done"
+            assert core.jobs_by_state() == {"done": history + 1}
+            return spent
+
+        assert asyncio.run(evaluations(10)) == asyncio.run(evaluations(300))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_views_match_a_scan_of_every_job(self, seed):
+        """Random admit / coalesce / dispatch / settle / cancel steps
+        across two owners; after each, the quota and status views equal
+        a brute-force scan of the whole job table, and no job leaves a
+        terminal state."""
+        import asyncio
+        import random
+        from collections import Counter
+
+        from repro.service.progress import TERMINAL
+        from repro.service.queue import QUEUED, RUNNING
+
+        def scan(core, owner):
+            jobs = [job for job in core.jobs.values()
+                    if owner is None or job.owner == owner]
+            live = [job for job in jobs if job.state not in TERMINAL]
+            points = sum(1 for job in live
+                         for key in dict.fromkeys(job.order)
+                         if job.states.get(key) in (QUEUED, RUNNING))
+            return len(live), points
+
+        async def scenario():
+            rng = random.Random(seed)
+            points = keyed_points(8)
+            core = unstarted_core(hits=[k for k, _ in points[:2]])
+            running = []
+            final = {}
+            for step in range(250):
+                op = rng.choice(("admit", "admit", "dispatch", "settle",
+                                 "cancel"))
+                if op == "admit":
+                    picked = rng.sample(points, rng.randint(1, 3))
+                    if rng.random() < 0.2:
+                        picked.append(picked[0])  # duplicate grid point
+                    core_submit(core, rng.choice(("alice", "bob")),
+                                picked, f"j{step}")
+                elif op == "dispatch" and core.scheduler.backlog:
+                    batch = await core.scheduler.next_batch(
+                        rng.randint(1, 3))
+                    running.extend(batch)
+                    keys = [task.key for task in batch]
+                    for job in core.jobs.values():
+                        job.mark_running(keys)
+                elif op == "settle" and running:
+                    task = running.pop(rng.randrange(len(running)))
+                    if rng.random() < 0.3:
+                        core.scheduler.finish(task,
+                                              error=RuntimeError("boom"))
+                    else:
+                        core.scheduler.finish(task, result=StubResult())
+                elif op == "cancel" and core.jobs:
+                    rng.choice(list(core.jobs.values())).cancel(
+                        core.scheduler)
+                await asyncio.sleep(0)  # done-callbacks settle jobs
+
+                for job in core.jobs.values():
+                    if job.id in final:
+                        assert job.state == final[job.id], job.id
+                    elif job.state in TERMINAL:
+                        final[job.id] = job.state
+                for owner in (None, "alice", "bob"):
+                    assert (core.active_jobs(owner),
+                            core.active_points(owner)) == \
+                        scan(core, owner), (step, owner)
+                assert core.jobs_by_state() == \
+                    dict(Counter(job.state for job in core.jobs.values()))
+            assert len(final) > 20 and set(final.values()) == set(TERMINAL)
 
         asyncio.run(scenario())
 
