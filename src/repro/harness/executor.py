@@ -122,6 +122,23 @@ _trace_cache_lock = threading.Lock()
 
 
 def _cached_traces(point: RunPoint) -> List[Optional[List[TraceItem]]]:
+    """The point's traces through the per-process memo. When tracing,
+    a ``materialize`` wall span (nested in the point's ``run`` span)
+    shows how much of the point's wall time was trace generation."""
+    tracer = obs.active()
+    if not tracer.enabled:
+        return _memo_traces(point)[0]
+    args = {"workload": point.workload, "seed": point.seed}
+    with tracer.wall_span("executor", "materialize",
+                          tid=threading.current_thread().name, args=args):
+        traces, args["memo_hit"] = _memo_traces(point)
+        args["refs"] = sum(len(t) for t in traces if t is not None)
+    return traces
+
+
+def _memo_traces(point: RunPoint
+                 ) -> Tuple[List[Optional[List[TraceItem]]], bool]:
+    """``(traces, memo hit?)`` for a point."""
     key = (point.workload, point.seed, point.settings.refs_per_core,
            point.settings.warmup_refs_per_core,
            point.settings.capacity_factor, point.config.num_cores)
@@ -129,14 +146,14 @@ def _cached_traces(point: RunPoint) -> List[Optional[List[TraceItem]]]:
         traces = _trace_cache.get(key)
         if traces is not None:
             _trace_cache.move_to_end(key)
-            return traces
+            return traces, True
     traces = materialize_traces(point.config, point.settings,
                                 point.workload, point.seed)
     with _trace_cache_lock:
         _trace_cache[key] = traces
         while len(_trace_cache) > _TRACE_CACHE_MAX:
             _trace_cache.popitem(last=False)
-    return traces
+    return traces, False
 
 
 def simulate_point(point: RunPoint) -> SimResult:

@@ -48,7 +48,9 @@ key set still fails to match on read are treated as misses
 Reads are served through a bounded in-process memo of decoded entries,
 revalidated against each file's ``stat`` signature on every read (see
 :meth:`RunCache._load`), so a repeated hit costs one ``os.stat`` and a
-``marshal`` decode instead of a file read and a JSON parse.
+``marshal`` decode instead of a file read and a JSON parse. A
+:meth:`RunCache.put` memoizes what it wrote, so the first read of a
+fresh entry in the writing process is such a hit too.
 
 Custom (non-registry) architectures are cached under their display
 name; as with the in-memory cache, the name must encode the parameters
@@ -315,7 +317,7 @@ class RunCache:
         self.writes = 0
         self._index: Optional[ShardIndex] = None
         #: key -> (file signature, marshal bytes of the payload), in
-        #: least-recently-used order; filled by get, never by put.
+        #: least-recently-used order; filled by get and by put.
         self._memo: "OrderedDict[str, tuple]" = OrderedDict()
         self._memo_bytes = 0
         self._memo_lock = threading.Lock()
@@ -374,12 +376,13 @@ class RunCache:
 
         Decoded entries are memoized in-process, each under the
         ``(st_ino, st_mtime_ns, st_size)`` signature of the file it was
-        read from, so a repeat hit costs one ``os.stat`` and a
-        ``marshal`` decode. A write to the entry changes or removes
-        the signature (``os.replace`` by any writer brings a new inode,
-        an in-place write a new size or mtime, ``clear()`` removes the
-        file), and the entry is then read and validated again. Every
-        call returns new objects: callers may mutate what they get."""
+        read from (or that :meth:`put` wrote), so a repeat hit costs
+        one ``os.stat`` and a ``marshal`` decode. A write to the entry
+        changes or removes the signature (``os.replace`` by any writer
+        brings a new inode, an in-place write a new size or mtime,
+        ``clear()`` removes the file), and the entry is then read and
+        validated again. Every call returns new objects: callers may
+        mutate what they get."""
         path = self.entry_path(key)
         try:
             st = os.stat(path)
@@ -412,11 +415,14 @@ class RunCache:
                        marshal.dumps(payload))
         return payload
 
-    def _remember(self, key: str, signature: tuple, blob: bytes) -> None:
-        """Count a hit read from disk and memoize its payload, evicting
-        least recently used entries to stay within :data:`MEMO_BYTES`."""
+    def _remember(self, key: str, signature: tuple, blob: bytes,
+                  hit: bool = True) -> None:
+        """Memoize a payload (counting a hit read from disk, unless it
+        is one :meth:`put` just wrote), evicting least recently used
+        entries to stay within :data:`MEMO_BYTES`."""
         with self._memo_lock:
-            self.hits += 1
+            if hit:
+                self.hits += 1
             self._discard(key)
             if len(blob) > MEMO_BYTES:
                 return
@@ -462,12 +468,22 @@ class RunCache:
         path = self.entry_path(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         tmp = f"{path}.tmp.{os.getpid()}"
+        # One pass of the C encoder writes the bytes json.dump would
+        # stream through the much slower pure-Python iterencode.
+        text = json.dumps(result_to_payload(result))
         with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(result_to_payload(result), handle)
+            handle.write(text)
+            handle.flush()
+            st = os.fstat(handle.fileno())
         os.replace(tmp, path)
         self.writes += 1
         if self._index is not None:
             self._index.note(key, self.shard_dir(key))
+        # The rename keeps the inode, mtime and size, so this is the
+        # signature a get() stats until some writer replaces the entry.
+        # The memo holds the decoded text, exactly what a read returns.
+        self._remember(key, (st.st_ino, st.st_mtime_ns, st.st_size),
+                       marshal.dumps(json.loads(text)), hit=False)
 
     # -- maintenance (the repro-cache CLI) ----------------------------------
 

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass
-from typing import Deque, Tuple
+from typing import Deque, NamedTuple, Tuple
 
 from repro.common.config import CoreConfig
 
@@ -36,9 +35,11 @@ class TraceKind(enum.Enum):
         return self is TraceKind.STORE
 
 
-@dataclass(frozen=True)
-class TraceItem:
-    """``gap`` non-memory instructions, then one reference to ``block``."""
+class TraceItem(NamedTuple):
+    """``gap`` non-memory instructions, then one reference to ``block``.
+
+    A tuple rather than a dataclass: a trace holds one per reference,
+    and a tuple is both cheaper to build and smaller to keep."""
 
     gap: int
     block: int

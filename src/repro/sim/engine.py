@@ -95,12 +95,12 @@ class SimulationEngine:
             item = self._next_item(core_id)
             if item is None:
                 continue
+            gap, block, kind = item
             core = self.cores[core_id]
-            core.advance_gap(item.gap)
-            outcome = self.system.access(core_id, item.block,
-                                         item.kind.is_write,
+            core.advance_gap(gap)
+            outcome = self.system.access(core_id, block, kind.is_write,
                                          core.issue_time())
-            core.complete_memory(item.kind, outcome.complete)
+            core.complete_memory(kind, outcome.complete)
             self._refs[core_id] += 1
             self._processed += 1
             if self._check_every and self._processed % self._check_every == 0:

@@ -8,6 +8,7 @@ attributes.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import List, Sequence
 
 from repro.sim.cpu import TraceItem, TraceKind
@@ -20,23 +21,15 @@ class SoATrace:
 
     def __init__(self, items: Sequence[TraceItem]) -> None:
         self.items = items
-        gaps: List[int] = []
-        blocks: List[int] = []
-        writes: List[bool] = []
-        deps: List[bool] = []
-        g_app, b_app = gaps.append, blocks.append
-        w_app, d_app = writes.append, deps.append
+        # One C-level pass per column: a tuple subclass misses the
+        # interpreter's exact-tuple fast paths, so a Python loop that
+        # unpacks each item or reads its fields is the slower build.
+        self.gaps: List[int] = list(map(itemgetter(0), items))
+        self.blocks: List[int] = list(map(itemgetter(1), items))
+        kinds = list(map(itemgetter(2), items))
         store, dep_load = TraceKind.STORE, TraceKind.DEP_LOAD
-        for it in items:  # single pass: columns amortize over every walk
-            g_app(it.gap)
-            b_app(it.block)
-            kind = it.kind
-            w_app(kind is store)
-            d_app(kind is dep_load)
-        self.gaps = gaps
-        self.blocks = blocks
-        self.writes = writes
-        self.deps = deps
+        self.writes: List[bool] = [kind is store for kind in kinds]
+        self.deps: List[bool] = [kind is dep_load for kind in kinds]
 
     def __len__(self) -> int:
         return len(self.items)

@@ -146,78 +146,102 @@ class TraceGenerator:
 
 
 def _generate(spec: WorkloadSpec, core: int, seed: int) -> Iterator[TraceItem]:
+    """One core's trace, lazily.
+
+    The order of the ``random()`` draws below *is* the trace: every
+    branch draws in a fixed sequence, and any reordered, added or
+    removed draw changes every later reference (docs/workloads.md,
+    "Draw order is the trace contract"). The loop reads only locals —
+    spec fields, module constants and bound methods are hoisted once
+    per core — because it runs for every reference of every cold point.
+    """
     rng = substream(seed, f"{spec.name}/core{core}")
     random01 = rng.random
+    log = math.log
     private_base = (core + 1) * PRIVATE_REGION_STRIDE
     private_size = max(spec.private_footprint_blocks, 1)
     shared_size = max(spec.shared_footprint_blocks, 1)
     window = spec.phase_blocks if spec.phase_blocks else private_size
     window = min(window, private_size)
     window_start = 0
+    phase_period = spec.phase_period
+    phased = bool(spec.phase_blocks and phase_period)
     # The cold stream walks an unbounded per-core region: pure
     # compulsory traffic, disjoint across cores and workloads.
     stream_base = STREAM_REGION_BASE + (core + 1) * PRIVATE_REGION_STRIDE
     stream_pos = 0
     # The loop buffer lives in the private region above the hot set.
+    loop_blocks = spec.loop_blocks
     loop_base = private_base + private_size
-    loop_pos = rng.randrange(spec.loop_blocks) if spec.loop_blocks else 0
+    loop_pos = rng.randrange(loop_blocks) if loop_blocks else 0
     exponent = max(spec.locality, 1.0)
     shared_exponent = max(spec.shared_locality or spec.locality, 1.0)
     recent = deque(maxlen=max(spec.reuse_window, 1))
+    remember = recent.append
+    os_noise = spec.os_noise
+    shared_cut = os_noise + spec.shared_fraction
+    reuse_fraction = spec.reuse_fraction
+    loop_fraction = spec.loop_fraction
+    stream_fraction = spec.stream_fraction
+    stream_advance = spec.stream_advance
+    write_fraction = spec.write_fraction
+    shared_write_fraction = spec.shared_write_fraction
+    dep_fraction = spec.dep_fraction
+    mean_gap = spec.mean_gap
+    neg_mean_gap = -mean_gap
+    store, dep_load, load = TraceKind.STORE, TraceKind.DEP_LOAD, TraceKind.LOAD
+    os_base, os_blocks = OS_REGION_BASE, OS_REGION_BLOCKS
+    shared_base, stream_region = SHARED_REGION_BASE, STREAM_REGION_BASE
+    # TraceItem's own __new__ is a Python-level wrapper around this call.
+    new_item = tuple.__new__
 
     for ref in range(spec.refs_per_core):
-        if spec.phase_blocks and spec.phase_period and ref and \
-                ref % spec.phase_period == 0:
+        if phased and ref and ref % phase_period == 0:
             window_start = (window_start + window) % private_size
         draw = random01()
-        if draw < spec.os_noise:
-            block = OS_REGION_BASE + int(OS_REGION_BLOCKS * random01() ** exponent)
-        elif recent and random01() < spec.reuse_fraction:
+        if draw < os_noise:
+            block = os_base + int(os_blocks * random01() ** exponent)
+        elif recent and random01() < reuse_fraction:
             # Temporal reuse: recency-biased pick among recent blocks
             # (quadratic bias toward the most recent).
             back = int(len(recent) * random01() ** 2)
-            block = recent[len(recent) - 1 - back]
-        elif draw < spec.os_noise + spec.shared_fraction:
-            block = SHARED_REGION_BASE + _hot(rng, shared_size, shared_exponent)
-            recent.append(block)
-        elif spec.loop_blocks and random01() < spec.loop_fraction:
+            block = recent[-1 - back]
+        elif draw < shared_cut:
+            # Power-law index into the region: index 0 is hottest.
+            block = shared_base + int(
+                shared_size * random01() ** shared_exponent)
+            remember(block)
+        elif loop_blocks and random01() < loop_fraction:
             loop_pos += 1
-            if loop_pos >= spec.loop_blocks:
+            if loop_pos >= loop_blocks:
                 loop_pos = 0
             block = loop_base + loop_pos
-        elif random01() < spec.stream_fraction:
-            if random01() < spec.stream_advance:
+        elif random01() < stream_fraction:
+            if random01() < stream_advance:
                 stream_pos += 1
             block = stream_base + stream_pos
         else:
-            offset = (window_start + _hot(rng, window, exponent)) % private_size
-            block = private_base + offset
-            recent.append(block)
-        if block >= STREAM_REGION_BASE:
-            write = random01() < spec.write_fraction
-        elif block >= OS_REGION_BASE:
+            block = private_base + (window_start + int(
+                window * random01() ** exponent)) % private_size
+            remember(block)
+        if block >= stream_region:
+            write = random01() < write_fraction
+        elif block >= os_base:
             write = random01() < 0.05
-        elif block >= SHARED_REGION_BASE:
-            write = random01() < spec.shared_write_fraction
+        elif block >= shared_base:
+            write = random01() < shared_write_fraction
         else:
-            write = random01() < spec.write_fraction
+            write = random01() < write_fraction
         if write:
-            kind = TraceKind.STORE
-        elif random01() < spec.dep_fraction:
-            kind = TraceKind.DEP_LOAD
+            kind = store
+        elif random01() < dep_fraction:
+            kind = dep_load
         else:
-            kind = TraceKind.LOAD
-        gap = _geometric(rng, spec.mean_gap)
-        yield TraceItem(gap=gap, block=block, kind=kind)
-
-
-def _hot(rng, size: int, exponent: float) -> int:
-    """Power-law index in [0, size): index 0 is hottest."""
-    return int(size * (rng.random() ** exponent))
-
-
-def _geometric(rng, mean: int) -> int:
-    """Cheap integer geometric-ish gap with the requested mean."""
-    if mean <= 0:
-        return 0
-    return int(-mean * math.log(max(rng.random(), 1e-12)))
+            kind = load
+        # Geometric-ish gap with mean ``mean_gap``; no draw when it is 0.
+        if mean_gap <= 0:
+            gap = 0
+        else:
+            r = random01()
+            gap = int(neg_mean_gap * log(r if r > 1e-12 else 1e-12))
+        yield new_item(TraceItem, (gap, block, kind))

@@ -4,9 +4,11 @@ instants in one valid Chrome-trace payload)."""
 
 import io
 import json
+from collections import OrderedDict
 
 import pytest
 
+from repro.harness import executor as executor_mod
 from repro.harness.executor import Executor, RunPoint
 from repro.harness.runcache import RunCache
 from repro.harness.runner import RunSettings
@@ -218,6 +220,31 @@ class TestEndToEnd:
                    if e["name"] in ("replica placed", "victim placed",
                                     "allocation refused")]
         assert helping
+
+    def test_materialize_span_nests_in_run_span(self, monkeypatch):
+        """Each point's trace generation is its own wall span inside the
+        point's run span, with the memo hit recorded: the second
+        architecture of one (workload, seed) reuses the first's traces."""
+        monkeypatch.setattr(executor_mod, "_trace_cache", OrderedDict())
+        tracer = Tracer(categories=["executor"])
+        points = [RunPoint(name=arch, workload="oltp", seed=42,
+                           config=scaled_config(QUICK.capacity_factor),
+                           settings=QUICK, arch=arch)
+                  for arch in ("shared", "esp-nuca")]
+        with activated(tracer):
+            Executor(jobs=1, cache=RunCache(enabled=False)).run(points)
+        spans = [e for e in tracer.events if e.phase == obs.PH_SPAN]
+        runs = [e for e in spans if e.name.startswith("run ")]
+        materialize = [e for e in spans if e.name == "materialize"]
+        assert len(runs) == len(materialize) == 2
+        for run, gen in zip(runs, materialize):
+            assert (gen.pid, gen.tid) == (run.pid, run.tid)
+            assert run.ts <= gen.ts
+            assert gen.ts + gen.dur <= run.ts + run.dur
+        refs = 8 * (QUICK.refs_per_core + QUICK.warmup_refs_per_core)
+        assert [e.args for e in materialize] == [
+            {"workload": "oltp", "seed": 42, "memo_hit": hit, "refs": refs}
+            for hit in (False, True)]
 
     def test_sim_pid_labeled_after_run_point(self):
         tracer = traced_run()

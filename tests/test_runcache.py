@@ -3,6 +3,7 @@ on-disk keys, stat-signature revalidation, fresh objects per get, a
 bounded memo and thread-safe reads."""
 
 import hashlib
+import json
 import sys
 import threading
 
@@ -77,7 +78,6 @@ class TestKeys:
 class TestMemo:
     def test_repeat_hit_does_not_reparse(self, cache, monkeypatch):
         cache.put(K[0], make_result(1))
-        assert not cache._memo  # put never fills the memo
         first = cache.get(K[0])
 
         def no_parse(*_args, **_kwargs):
@@ -87,6 +87,31 @@ class TestMemo:
         assert cache.get(K[0]) == first
         assert cache.get_payload(K[0]) == first.to_dict()
         assert cache.hits == 3
+
+    def test_put_writes_the_json_dumps_bytes(self, cache):
+        result = make_result(3)
+        cache.put(K[0], result)
+        with open(cache.entry_path(K[0]), encoding="utf-8") as handle:
+            assert handle.read() == json.dumps(result.to_dict())
+
+    def test_get_after_put_opens_no_file(self, cache, monkeypatch):
+        cache.put(K[0], make_result(1))
+
+        def no_open(*_args, **_kwargs):
+            raise AssertionError("a fresh put was read back from disk")
+
+        monkeypatch.setattr(runcache, "open", no_open, raising=False)
+        assert cache.get(K[0]) == make_result(1)
+        assert cache.get_payload(K[0]) == \
+            json.loads(json.dumps(make_result(1).to_dict()))
+        assert (cache.hits, cache.misses, cache.writes) == (2, 0, 1)
+
+    def test_entry_replaced_after_put_is_reread(self, cache):
+        cache.put(K[0], make_result(1))
+        RunCache(root=cache.root).put(K[0], make_result(1, cycles=2000))
+        assert cache.get(K[0]) == make_result(1, cycles=2000)
+        assert cache.get_payload(K[0]) == \
+            make_result(1, cycles=2000).to_dict()
 
     def test_entry_replaced_by_another_writer(self, cache):
         cache.put(K[0], make_result(1))
@@ -129,11 +154,13 @@ class TestMemo:
         assert cache.get_payload(K[0]) == make_result(1).to_dict()
 
     def test_memo_stays_within_budget(self, cache, monkeypatch):
-        for seed in range(12):
-            cache.put(K[seed], make_result(seed))
-        cache.get(K[0])
+        cache.put(K[0], make_result(0))
         entry = len(cache._memo[K[0]][1])
         monkeypatch.setattr(runcache, "MEMO_BYTES", 3 * entry + entry // 2)
+        for seed in range(12):
+            cache.put(K[seed], make_result(seed))
+            assert cache._memo_bytes <= runcache.MEMO_BYTES
+        assert list(cache._memo) == K[9:]  # puts evict like gets
         for _ in range(2):
             for seed in range(12):
                 assert cache.get(K[seed]) == make_result(seed)
