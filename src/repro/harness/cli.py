@@ -595,10 +595,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     runner = ExperimentRunner(_settings(args), config=_config(args),
                               executor=executor)
     if args.experiment == "trace":
+        from repro.harness.executor import materialize_traces
         from repro.workloads.tracefile import save_traces
 
         out = args.out or f"{args.workload}.trace.gz"
-        traces = runner._traces(args.workload, runner.seeds[0])
+        traces = materialize_traces(runner.config, runner.settings,
+                                    args.workload, runner.seeds[0])
         save_traces(out, traces, workload=args.workload,
                     seed=runner.seeds[0])
         refs = sum(len(t) for t in traces if t is not None)

@@ -49,7 +49,7 @@ from repro.common.config import SystemConfig
 from repro.harness.runcache import RunCache, cache_key, env_int  # noqa: F401
 from repro.obs import trace as obs
 from repro.obs.logging import get_logger
-from repro.sim.cpu import TraceItem
+from repro.sim.cpu import Trace
 from repro.sim.engines import build_engine
 from repro.sim.results import SimResult
 from repro.sim.system import CmpSystem
@@ -101,19 +101,21 @@ def prepare_spec(settings, workload: str) -> WorkloadSpec:
 
 
 def materialize_traces(config: SystemConfig, settings, workload: str,
-                       seed: int) -> List[Optional[List[TraceItem]]]:
-    """Deterministically generate the per-core traces of a run point."""
-    generator = TraceGenerator(prepare_spec(settings, workload), seed)
-    return [list(trace) if trace is not None else None
-            for trace in generator.traces(config.num_cores)]
+                       seed: int) -> List[Optional[Trace]]:
+    """Deterministically generate the per-core traces of a run point,
+    as :class:`~repro.sim.cpu.Trace` columns."""
+    return TraceGenerator(prepare_spec(settings, workload),
+                          seed).materialize(config.num_cores)
 
 
-#: Per-process memo of materialized traces, bounded because a single
-#: (workload, seed) entry at full fidelity is tens of MB. Grouping run
-#: points by (workload, seed) before dispatch keeps the hit rate high
-#: with a small bound.
+#: Per-process memo of materialized traces, bounded because an entry
+#: grows with the reference budget: at recorded fidelity (20 000 + 12 000
+#: references per core) one (workload, seed) entry takes about 4 MiB as
+#: ``Trace`` columns, where ``TraceItem`` lists took about 20 MiB
+#: (docs/harness.md §2). Grouping run points by (workload, seed) before
+#: dispatch keeps the hit rate high with a small bound.
 _TRACE_CACHE_MAX = 8
-_trace_cache: "OrderedDict[Tuple, List[Optional[List[TraceItem]]]]" = \
+_trace_cache: "OrderedDict[Tuple, List[Optional[Trace]]]" = \
     OrderedDict()
 # The simulation service runs serial batches on a thread pool, so the
 # memo sees concurrent access; materialization happens outside the lock
@@ -121,7 +123,7 @@ _trace_cache: "OrderedDict[Tuple, List[Optional[List[TraceItem]]]]" = \
 _trace_cache_lock = threading.Lock()
 
 
-def _cached_traces(point: RunPoint) -> List[Optional[List[TraceItem]]]:
+def _cached_traces(point: RunPoint) -> List[Optional[Trace]]:
     """The point's traces through the per-process memo. When tracing,
     a ``materialize`` wall span (nested in the point's ``run`` span)
     shows how much of the point's wall time was trace generation."""
@@ -137,7 +139,7 @@ def _cached_traces(point: RunPoint) -> List[Optional[List[TraceItem]]]:
 
 
 def _memo_traces(point: RunPoint
-                 ) -> Tuple[List[Optional[List[TraceItem]]], bool]:
+                 ) -> Tuple[List[Optional[Trace]], bool]:
     """``(traces, memo hit?)`` for a point."""
     key = (point.workload, point.seed, point.settings.refs_per_core,
            point.settings.warmup_refs_per_core,
@@ -172,10 +174,11 @@ def simulate_point(point: RunPoint) -> SimResult:
         # allocates it.
         system.set_trace_label(
             f"{point.name}/{point.workload} s{point.seed}")
-    # build_engine adopts materialized lists directly (the vectorized
-    # engine indexes them in place; the reference engine wraps fresh
-    # iterators) — one seam, so serial, pooled and service execution all
-    # honor the point's engine selection identically (docs/engine.md).
+    # build_engine reads the memoized Trace columns without consuming
+    # them (the vectorized engine copies each column into a list; the
+    # reference engine walks fresh rows) — one seam, so serial, pooled
+    # and service execution all honor the point's engine selection
+    # identically (docs/engine.md).
     engine = build_engine(system, _cached_traces(point),
                           point.settings.engine)
     result = engine.run(

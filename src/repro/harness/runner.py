@@ -27,10 +27,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.config import SystemConfig, scaled_config
 from repro.common.rng import perturbed_seeds
-from repro.harness.executor import (Executor, RunPoint, env_int,
-                                    materialize_traces)
+from repro.harness.executor import Executor, RunPoint, env_int
 from repro.metrics.performance import AggregateResult
-from repro.sim.cpu import TraceItem
 from repro.sim.engines import ENGINES
 from repro.sim.results import SimResult
 
@@ -107,20 +105,7 @@ class ExperimentRunner:
         self.seeds = perturbed_seeds(self.settings.base_seed,
                                      self.settings.num_seeds)
         self.executor = executor or Executor()
-        self._trace_cache: Dict[Tuple[str, int], List[Optional[List[TraceItem]]]] = {}
         self._run_cache: Dict[Tuple[str, str, int], SimResult] = {}
-
-    # -- workload preparation -----------------------------------------------
-
-    def _traces(self, workload: str, seed: int
-                ) -> List[Optional[List[TraceItem]]]:
-        key = (workload, seed)
-        cached = self._trace_cache.get(key)
-        if cached is None:
-            cached = materialize_traces(self.config, self.settings,
-                                        workload, seed)
-            self._trace_cache[key] = cached
-        return cached
 
     # -- run-point construction ---------------------------------------------
 

@@ -1,6 +1,6 @@
 """CMP system assembly and the timing simulation kernel."""
 
-from repro.sim.cpu import CoreModel, TraceItem, TraceKind
+from repro.sim.cpu import CoreModel, Trace, TraceItem, TraceKind
 from repro.sim.engine import SimulationEngine
 from repro.sim.request import Supplier
 from repro.sim.results import SimResult
@@ -8,6 +8,7 @@ from repro.sim.system import CmpSystem
 
 __all__ = [
     "CoreModel",
+    "Trace",
     "TraceItem",
     "TraceKind",
     "SimulationEngine",

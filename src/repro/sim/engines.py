@@ -22,7 +22,7 @@ from __future__ import annotations
 import os
 from typing import Iterator, List, Optional, Sequence
 
-from repro.sim.cpu import TraceItem
+from repro.sim.cpu import Trace, TraceItem
 from repro.sim.engine import SimulationEngine
 from repro.sim.system import CmpSystem
 
@@ -53,10 +53,13 @@ def build_engine(system: CmpSystem,
                  engine: Optional[str] = None) -> SimulationEngine:
     """Construct the selected engine over ``system`` and ``traces``.
 
-    ``traces`` entries may be iterators or materialized lists (lists are
-    adopted without copying — the vectorized engine indexes them in
-    place, and they are wrapped in fresh iterators for the reference
-    engine). The single construction seam: the executor, the oracle
+    ``traces`` entries may be :class:`~repro.sim.cpu.Trace` columns,
+    ``TraceItem`` lists or iterators. A ``Trace`` or a list is never
+    consumed: the vectorized engine copies a ``Trace``'s columns
+    (:func:`~repro.sim.cpu.as_trace` converts the other forms), and the
+    reference engine walks a fresh iterator over it
+    (:meth:`~repro.sim.cpu.Trace.rows` for a ``Trace``). The
+    single construction seam: the executor, the oracle
     sweep and the equivalence tests all come through here, so engine
     selection is honored identically in serial, pooled and service
     execution.
@@ -64,7 +67,9 @@ def build_engine(system: CmpSystem,
     name = resolve_engine(engine)
     if name == "reference":
         return SimulationEngine(
-            system, [iter(t) if t is not None else None for t in traces])
+            system, [t.rows() if isinstance(t, Trace)
+                     else (iter(t) if t is not None else None)
+                     for t in traces])
     from repro.sim.vector.engine import VectorizedEngine
 
     return VectorizedEngine(system, traces)

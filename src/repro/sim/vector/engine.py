@@ -52,12 +52,11 @@ from heapq import heappop, heappush
 from typing import Iterator, List, Optional, Sequence
 
 from repro.common.statsreg import _HIST_BUCKETS
-from repro.sim.cpu import TraceItem
+from repro.sim.cpu import TraceItem, as_trace
 from repro.sim.engine import SimulationEngine
 from repro.sim.request import Supplier
 from repro.sim.system import CmpSystem
 from repro.sim.vector.mirror import MirrorJournal
-from repro.sim.vector.soa import SoATrace
 
 #: A key no reference reaches: the scout walks the whole run.
 _NO_BOUND = float("inf")
@@ -66,20 +65,18 @@ _NO_BOUND = float("inf")
 class VectorizedEngine(SimulationEngine):
     """Drop-in engine producing byte-identical results to the reference.
 
-    Traces are materialized up front (the engine needs random access
-    for classification); the struct-of-arrays views live in
-    :class:`~repro.sim.vector.soa.SoATrace`.
+    The engine needs random access for classification, so it reads
+    each core's trace as :class:`~repro.sim.cpu.Trace` columns: a
+    materialized ``Trace`` is adopted as is, and item lists or
+    iterators are converted once (:func:`~repro.sim.cpu.as_trace`).
     """
 
     def __init__(self, system: CmpSystem,
                  traces: Sequence[Optional[Iterator[TraceItem]]]) -> None:
-        items = [t if isinstance(t, list) else (list(t) if t is not None
-                                                else None) for t in traces]
-        super().__init__(system, items)
-        n = len(items)
+        columns = [as_trace(t) if t is not None else None for t in traces]
+        super().__init__(system, columns)
+        n = len(columns)
         self._pos = [0] * n
-        columns: List[Optional[SoATrace]] = [
-            SoATrace(t) if t is not None else None for t in items]
         self._journal: Optional[MirrorJournal] = None
         # Per-core timing state at the end of the classified run
         # (written by the scout, adopted by the full commit).
@@ -93,14 +90,18 @@ class VectorizedEngine(SimulationEngine):
         self._limit = [0] * n
         # Hot-path state hoisted into flat per-core lists: the epoch
         # loop, classifier and serve path index these instead of
-        # chasing object attributes per reference.
-        self._blocks = [t.blocks if t is not None else None
+        # chasing object attributes per reference. Each column is
+        # copied into a list once per point (a C-level copy): indexing
+        # an ``array`` allocates an int per read, and only list
+        # indexing has an interpreter fast path; both measured slower
+        # in the hot loops (docs/engine.md, "State layout").
+        self._blocks = [list(t.blocks) if t is not None else None
                         for t in columns]
-        self._writes = [t.writes if t is not None else None
+        self._writes = [list(t.writes) if t is not None else None
                         for t in columns]
-        self._gaps = [t.gaps if t is not None else None
+        self._gaps = [list(t.gaps) if t is not None else None
                       for t in columns]
-        self._deps = [t.deps if t is not None else None
+        self._deps = [list(t.deps) if t is not None else None
                       for t in columns]
         self._l1s = system.l1s
         self._l1_sets = [l1._sets for l1 in system.l1s]

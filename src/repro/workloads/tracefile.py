@@ -15,9 +15,9 @@ from __future__ import annotations
 import gzip
 import io
 from pathlib import Path
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
-from repro.sim.cpu import TraceItem, TraceKind
+from repro.sim.cpu import KINDS, TraceItem, TraceKind, as_trace
 
 MAGIC = "esp-nuca-trace v1"
 
@@ -27,10 +27,12 @@ _CODE_KIND = {v: k for k, v in _KIND_CODE.items()}
 
 
 def save_traces(path: str | Path,
-                traces: Sequence[Optional[Sequence[TraceItem]]],
+                traces: Sequence[Optional[Iterable[TraceItem]]],
                 workload: str = "", seed: int = 0) -> None:
-    """Write per-core traces (None = idle core) to ``path``."""
+    """Write per-core traces (None = idle core) to ``path``. Each trace
+    may be a :class:`~repro.sim.cpu.Trace` or ``TraceItem``s."""
     path = Path(path)
+    letters = [_KIND_CODE[kind] for kind in KINDS]
     with gzip.open(path, "wt", encoding="ascii") as handle:
         handle.write(f"{MAGIC}\n")
         handle.write(f"workload={workload} seed={seed} "
@@ -39,11 +41,11 @@ def save_traces(path: str | Path,
             if trace is None:
                 handle.write(f"core {core} idle\n")
                 continue
-            items = list(trace)
-            handle.write(f"core {core} refs={len(items)}\n")
-            for item in items:
-                handle.write(f"{item.gap} {_KIND_CODE[item.kind]} "
-                             f"{item.block:x}\n")
+            columns = as_trace(trace)
+            handle.write(f"core {core} refs={len(columns)}\n")
+            for gap, block, code in zip(columns.gaps, columns.blocks,
+                                        columns.kinds):
+                handle.write(f"{gap} {letters[code]} {block:x}\n")
 
 
 def load_traces(path: str | Path) -> List[Optional[List[TraceItem]]]:

@@ -7,7 +7,9 @@ Layers, cheapest first:
   seeded random workloads, full ``to_dict()`` equality (flat result
   fields *and* the hierarchical stats snapshot);
 * **real workloads** — trace-generator workloads on representative
-  architectures;
+  architectures, as materialized ``Trace`` columns;
+* **trace forms** — each engine gives the same result for a trace as
+  ``Trace`` columns and as a ``TraceItem`` list;
 * **oracle sweep under both engines** — the differential oracles hold
   regardless of engine selection;
 * **conservation on the vectorized engine** — the per-component sums
@@ -35,7 +37,7 @@ from repro.common.rng import substream
 from repro.harness.executor import Executor, RunPoint
 from repro.harness.runcache import RunCache
 from repro.harness.runner import RunSettings
-from repro.sim.cpu import TraceItem, TraceKind
+from repro.sim.cpu import Trace, TraceItem, TraceKind
 from repro.sim.engines import (DEFAULT_ENGINE, ENGINES, build_engine,
                                resolve_engine)
 from repro.sim.request import Supplier
@@ -50,10 +52,15 @@ def run_engine(engine: str, arch: str, traces, config) -> dict:
     return build_engine(system, traces, engine).run().to_dict()
 
 
-def workload_traces(workload: str, seed: int, refs: int, config):
+def workload_traces(workload: str, seed: int, refs: int, config,
+                    form: str = "items"):
+    """The workload's per-core traces as ``Trace`` columns
+    (``form="trace"``) or as ``TraceItem`` lists (``"items"``)."""
     spec = get_workload(workload).capacity_scaled(8).scaled(refs)
-    return [list(t) if t is not None else None
-            for t in TraceGenerator(spec, seed).traces(config.num_cores)]
+    traces = TraceGenerator(spec, seed).materialize(config.num_cores)
+    if form == "trace":
+        return traces
+    return [list(t) if t is not None else None for t in traces]
 
 
 def high_hit_traces(config, refs: int, seed: int):
@@ -116,10 +123,44 @@ class TestRealWorkloads:
     ])
     def test_workload(self, arch: str, workload: str) -> None:
         config = scaled_config(8)
-        traces = workload_traces(workload, seed=1, refs=800, config=config)
+        traces = workload_traces(workload, seed=1, refs=800, config=config,
+                                 form="trace")
         ref = run_engine("reference", arch, traces, config)
         vec = run_engine("vectorized", arch, traces, config)
         assert_identical(ref, vec, f"{arch}/{workload}")
+
+
+class TestTraceForms:
+    """Both engines give one result whether a trace arrives as
+    ``Trace`` columns or as a ``TraceItem`` list, and a ``Trace`` is
+    left intact for the next point that replays it."""
+
+    @pytest.mark.parametrize("arch", ["esp-nuca", "private"])
+    def test_trace_and_item_list_agree(self, arch: str) -> None:
+        config = scaled_config(8)
+        columns = workload_traces("oltp", seed=3, refs=600, config=config,
+                                  form="trace")
+        items = [list(t) if t is not None else None for t in columns]
+        results = {(engine, form): run_engine(engine, arch, traces, config)
+                   for engine in ENGINES
+                   for form, traces in (("trace", columns),
+                                        ("items", items))}
+        expected = results["reference", "items"]
+        for (engine, form), result in results.items():
+            assert_identical(expected, result, f"{arch}, {engine}, {form}")
+        assert all(isinstance(t, Trace) for t in columns if t is not None)
+        assert [list(t) if t is not None else None
+                for t in columns] == items
+
+    def test_high_hit_trace_as_columns(self) -> None:
+        config = scaled_config(8)
+        items = high_hit_traces(config, refs=600, seed=5)
+        columns = [Trace.from_items(t) for t in items]
+        expected = run_engine("reference", "esp-nuca", items, config)
+        for engine in ENGINES:
+            assert_identical(expected,
+                             run_engine(engine, "esp-nuca", columns, config),
+                             f"{engine}, high-hit columns")
 
 
 class TestOraclesUnderBothEngines:

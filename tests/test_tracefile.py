@@ -1,8 +1,11 @@
 """Trace persistence: save/load round trips and replay equivalence."""
 
+import importlib.util
+import os
+
 import pytest
 
-from repro.sim.cpu import TraceItem, TraceKind
+from repro.sim.cpu import Trace, TraceItem, TraceKind
 from repro.workloads.base import TraceGenerator
 from repro.workloads.registry import get_workload
 from repro.workloads.tracefile import load_traces, save_traces, trace_info
@@ -51,6 +54,53 @@ class TestRoundTrip:
             handle.write("something else\n")
         with pytest.raises(ValueError):
             load_traces(path)
+
+
+def _pin_generation():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "pin_generation", os.path.join(root, "tools", "pin_generation.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestExportDigest:
+    """An exported trace file holds exactly the materialized trace,
+    by the pin tool's field-value digest."""
+
+    def test_saved_columns_reload_with_the_same_digest(self, tmp_path):
+        from repro.common.config import scaled_config
+        from repro.harness.executor import materialize_traces
+        from repro.harness.runner import RunSettings
+
+        trace_digest = _pin_generation().trace_digest
+        settings = RunSettings(refs_per_core=120, warmup_refs_per_core=30)
+        traces = materialize_traces(scaled_config(8), settings, "oltp", 3)
+        assert all(isinstance(t, Trace) for t in traces if t is not None)
+        path = tmp_path / "oltp.trace.gz"
+        save_traces(path, traces, workload="oltp", seed=3)
+        assert trace_digest(load_traces(path)) == trace_digest(traces)
+
+    def test_cli_export_matches_materialized_digest(self, tmp_path):
+        from repro.common.config import scaled_config
+        from repro.common.rng import perturbed_seeds
+        from repro.harness.cli import main as cli_main
+        from repro.harness.executor import materialize_traces
+        from repro.harness.runner import RunSettings
+
+        trace_digest = _pin_generation().trace_digest
+        out = tmp_path / "gzip.trace.gz"
+        assert cli_main(["trace", "--workload", "gzip-4", "--refs", "100",
+                         "--warmup", "20", "--seeds", "1", "--scale", "8",
+                         "--out", str(out)]) == 0
+        settings = RunSettings(capacity_factor=8, refs_per_core=100,
+                               warmup_refs_per_core=20, num_seeds=1)
+        seed = perturbed_seeds(settings.base_seed, 1)[0]
+        expected = materialize_traces(scaled_config(8), settings,
+                                      "gzip-4", seed)
+        assert trace_info(out)["seed"] == seed
+        assert trace_digest(load_traces(out)) == trace_digest(expected)
 
 
 class TestReplayEquivalence:
