@@ -8,8 +8,8 @@ something else. This tool records sha256 digests of
 
 * the materialized traces of every registered workload at a small
   budget, for two seeds, and
-* ``SimResult.to_dict()`` of a handful of quick points under both
-  engines,
+* ``SimResult.to_dict()`` of a quick point per registered
+  architecture and pinned workload under both engines,
 
 into ``tests/generation_pins.json`` under the current ``CACHE_VERSION``,
 and checks the code against them (``tests/test_generation_pins.py``
@@ -34,6 +34,7 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
+from repro.architectures.registry import architecture_names  # noqa: E402
 from repro.common.config import scaled_config  # noqa: E402
 from repro.harness.executor import (RunPoint, materialize_traces,  # noqa: E402
                                     simulate_point)
@@ -51,7 +52,7 @@ TRACE_SEEDS = (1, 2)
 #: The result points: every (architecture, workload) pair at one seed,
 #: under every engine.
 RESULT_REFS, RESULT_WARMUP = 300, 100
-RESULT_ARCHS = ("shared", "private", "sp-nuca", "esp-nuca")
+RESULT_ARCHS = tuple(architecture_names())
 RESULT_WORKLOADS = ("oltp", "art-4")
 RESULT_SEED = 1
 
