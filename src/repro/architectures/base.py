@@ -14,7 +14,16 @@ architectures implement:
 
 The base class provides timing helpers (bank service with busy-until
 contention, off-chip fetches, remote-L1 supply, write-token collection)
-so concrete policies read like the protocol walkthroughs in the paper.
+and the miss-path steps a ``handle_miss`` ends with: ``serve_l2_hit``,
+``borrow_from_l2``, ``serve_from_l1s``, ``collect_into_l1`` and
+``fill_from_memory``. Each moves the tokens, fills the requester's L1
+and returns the completion cycle (with the supplier, except in
+``collect_into_l1``, whose caller knows where the nearest copy was), so
+concrete policies read like the protocol walkthroughs in the paper. A family uses a step in place of
+its own sequence only when the step makes the same ``req``/``data``/
+``bank_service``/``collect_for_write`` calls in the same order: the
+contention model is order-sensitive, so where the order differs the
+family keeps its own code and says why there.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 from repro.cache.bank import CacheBank
 from repro.cache.block import BlockClass, CacheBlock
 from repro.cache.l1 import L1Line
+from repro.coherence.tokens import L2Holding
 from repro.common.config import SystemConfig
 from repro.common.statsreg import Scope
 from repro.noc.message import MessageKind
@@ -115,7 +125,8 @@ class NucaArchitecture:
         """Resolve an L1 miss detected at cycle ``t``.
 
         Must locate the data, move tokens, fill the requester's L1 (via
-        ``system.l1_fill``) and return ``(completion_cycle, supplier)``.
+        ``system.l1_fill``, normally through one of the miss-path steps
+        below) and return ``(completion_cycle, supplier)``.
         """
         raise NotImplementedError
 
@@ -318,6 +329,98 @@ class NucaArchitecture:
         assert line.tokens == self.ledger.total_tokens
         line.dirty = True
         return t_done
+
+    # -- miss-path steps ---------------------------------------------------------------
+
+    def nearest_holding(self, block: int, router: int) -> Optional[L2Holding]:
+        """The L2 copy of ``block`` fewest hops from ``router`` (the
+        first in ledger order on a tie), or None when L2 holds none."""
+        holdings = self.ledger.l2_holdings(block)
+        if not holdings:
+            return None
+        if len(holdings) == 1:  # no replica: nothing to rank
+            return holdings[0]
+        return min(holdings, key=lambda h: self.topology.hops(
+            router, self.router_of_bank(h.bank_id)))
+
+    def serve_l2_hit(self, core: int, block: int, bank_id: int, index: int,
+                     entry: CacheBlock, bank_router: int, is_write: bool,
+                     t_hit: int, want_all: bool = False,
+                     exclusive_if_sole: bool = True) -> Tuple[int, Supplier]:
+        """Serve a hit on ``entry`` whose bank finished at ``t_hit``.
+
+        Tokens leave the entry as :meth:`take_from_l2_entry` decides:
+        ``want_all`` swaps the block into the L1 (a private-partition
+        hit, an owner reclaiming its victim), the defaults leave a
+        shared copy serving other readers, and ``exclusive_if_sole=False``
+        lends a single token of a helping copy. A write takes every
+        token and then collects every other copy from ``bank_router``.
+        The data hop from ``bank_router`` is free when the bank is local.
+        """
+        tokens, dirty, _ = self.take_from_l2_entry(
+            block, bank_id, index, entry, want_all or is_write,
+            exclusive_if_sole)
+        t_done = t_hit
+        if is_write:
+            t_done, extra, _ = self.collect_for_write(core, block,
+                                                      bank_router, t_hit)
+            tokens += extra
+            dirty = True
+        core_router = self.router_of_core(core)
+        t_data = self.data(bank_router, core_router, t_hit)
+        if t_data > t_done:
+            t_done = t_data
+        self.system.l1_fill(core, block, tokens, dirty, t_done)
+        return t_done, (Supplier.L2_LOCAL if bank_router == core_router
+                        else Supplier.L2_SHARED)
+
+    def borrow_from_l2(self, core: int, block: int, holding: L2Holding,
+                       via_router: int, t: int) -> Tuple[int, Supplier]:
+        """Forward a read from ``via_router`` to the remote L2 copy
+        ``holding`` and borrow one token: the copy stays to serve
+        others unless that was its last token."""
+        bank_id = holding.bank_id
+        bank_router = self.router_of_bank(bank_id)
+        t_hit = self.bank_service(bank_id, self.req(via_router, bank_router, t),
+                                  hit=True)
+        t_done, _ = self.serve_l2_hit(core, block, bank_id, holding.set_index,
+                                      holding.entry, bank_router, False,
+                                      t_hit, exclusive_if_sole=False)
+        return t_done, Supplier.L2_REMOTE
+
+    def serve_from_l1s(self, core: int, block: int, is_write: bool,
+                       holders, via_router: int, t: int
+                       ) -> Tuple[int, Supplier]:
+        """Remote L1s (``holders``, never ``core``) hold the block: a
+        write collects every copy; a read takes a token from the holder
+        nearest ``via_router``, which forwards the data."""
+        if is_write:
+            return (self.collect_into_l1(core, block, via_router, t),
+                    Supplier.L1_REMOTE)
+        holder = min(holders, key=lambda h: self.topology.hops(
+            via_router, self.router_of_core(h)))
+        tokens, dirty = self.take_read_from_l1(block, holder)
+        t_done = self.supply_from_l1(core, holder, via_router, t)
+        self.system.l1_fill(core, block, tokens, dirty, t_done)
+        return t_done, Supplier.L1_REMOTE
+
+    def collect_into_l1(self, core: int, block: int, via_router: int,
+                        t: int) -> int:
+        """A write miss with copies on chip: invalidate them all, gather
+        every token at the writer (:meth:`collect_for_write`) and fill.
+        Returns the completion cycle."""
+        t_done, tokens, _ = self.collect_for_write(core, block, via_router, t)
+        self.system.l1_fill(core, block, tokens, True, t_done)
+        return t_done
+
+    def fill_from_memory(self, core: int, block: int, is_write: bool,
+                         t_done: int) -> Tuple[int, Supplier]:
+        """No on-chip copy: every token comes from memory. The caller
+        dispatched :meth:`fetch_offchip`; the data arrives at ``t_done``."""
+        tokens = self.ledger.take_from_memory(block)
+        assert tokens > 0, "no on-chip copy implies memory holds tokens"
+        self.system.l1_fill(core, block, tokens, is_write, t_done)
+        return t_done, Supplier.OFFCHIP
 
     # -- functional allocation helpers -----------------------------------------------
 

@@ -21,7 +21,7 @@ perfect-search and uses replication"):
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.architectures.base import NucaArchitecture
 from repro.cache.block import BlockClass, CacheBlock
@@ -38,8 +38,6 @@ class DNuca(NucaArchitecture):
         self._bankset_mask = self.config.noc.banks_per_router - 1
         self._bankset_bits = self._bankset_mask.bit_length()
         self._index_mask = self.config.l2.sets_per_bank - 1
-        self.migrations = 0
-        self.replications = 0
 
     # -- bankset geometry ---------------------------------------------------------
 
@@ -58,7 +56,7 @@ class DNuca(NucaArchitecture):
                     ) -> Tuple[int, Supplier]:
         index = self.dnuca_index(block)
         core_router = self.router_of_core(core)
-        holding = self._nearest_holding(block, core_router)
+        holding = self.nearest_holding(block, core_router)
         if holding is not None:
             # Perfect search: go straight to the holder bank.
             bank_id = holding.bank_id
@@ -68,68 +66,36 @@ class DNuca(NucaArchitecture):
             entry = self.banks[bank_id].lookup(index, block)
             assert entry is holding.entry
             t2 = self.bank_service(bank_id, t1, hit=True)
-            local = bank_router == core_router
-            if is_write:
-                tokens, _, _ = self.take_from_l2_entry(block, bank_id, index,
-                                                       entry, want_all=True)
-                t_coll, extra, _ = self.collect_for_write(core, block,
-                                                          bank_router, t2)
-                t_done = max(self.data(bank_router, core_router, t2), t_coll)
-                self.system.l1_fill(core, block, tokens + extra, True, t_done)
-                return t_done, (Supplier.L2_LOCAL if local else Supplier.L2_SHARED)
-            t_done = self.data(bank_router, core_router, t2)
-            if local:
+            if is_write or bank_router == core_router:
                 # Local hits swallow sole copies (cheap later upgrades).
-                tokens, dirty, _ = self.take_from_l2_entry(
-                    block, bank_id, index, entry, want_all=False)
-                self.system.l1_fill(core, block, tokens, dirty, t_done)
-                return t_done, Supplier.L2_LOCAL
+                return self.serve_l2_hit(core, block, bank_id, index, entry,
+                                         bank_router, is_write, t2)
             # Remote hit: borrow a token and pull the copy one
             # cluster-step toward the requester (gradual migration);
             # replication happens on the requester's later writeback.
-            tokens, dirty, removed = self.take_from_l2_entry(
-                block, bank_id, index, entry,
-                want_all=False, exclusive_if_sole=False)
-            self.system.l1_fill(core, block, tokens, dirty, t_done)
-            if not removed:
+            # A sole token leaves with the reader: nothing to migrate.
+            migrate = entry.tokens > 1
+            t_done, supplier = self.serve_l2_hit(
+                core, block, bank_id, index, entry, bank_router, False, t2,
+                exclusive_if_sole=False)
+            if migrate:
                 self._migrate_toward(block, entry, holding, core_router,
                                      t_done)
-            return t_done, Supplier.L2_SHARED
+            return t_done, supplier
         # Not in L2: remote L1s, then memory. Miss detection is charged
         # at the requester's own cluster bank of the bankset.
         own_bank = self.bank_of(block, core)
         self.banks[own_bank].lookup(index, block)  # records the miss
         t2 = self.bank_service(own_bank, t, hit=False)
-        state = self.ledger.state(block)
-        holders = [h for h in state.l1 if h != core]
+        holders = [h for h in self.ledger.state(block).l1 if h != core]
         if holders:
-            if is_write:
-                t_done, tokens, _ = self.collect_for_write(core, block,
-                                                           core_router, t2)
-                self.system.l1_fill(core, block, tokens, True, t_done)
-                return t_done, Supplier.L1_REMOTE
-            holder = min(holders, key=lambda h: self.topology.hops(
-                core_router, self.router_of_core(h)))
-            tokens, dirty = self.take_read_from_l1(block, holder)
-            t_done = self.supply_from_l1(core, holder, core_router, t2)
-            self.system.l1_fill(core, block, tokens, dirty, t_done)
-            return t_done, Supplier.L1_REMOTE
-        t_done = self.fetch_offchip(core_router, t2, core_router)
-        tokens = self.ledger.take_from_memory(block)
-        assert tokens > 0
-        self.system.l1_fill(core, block, tokens, is_write, t_done)
-        return t_done, Supplier.OFFCHIP
+            return self.serve_from_l1s(core, block, is_write, holders,
+                                       core_router, t2)
+        return self.fill_from_memory(
+            core, block, is_write,
+            self.fetch_offchip(core_router, t2, core_router))
 
     # -- movement -----------------------------------------------------------------------
-
-    def _nearest_holding(self, block: int, router: int) -> Optional[L2Holding]:
-        holdings = self.ledger.l2_holdings(block)
-        if not holdings:
-            return None
-        if len(holdings) == 1:  # no replica: nothing to rank
-            return holdings[0]
-        return min(holdings, key=lambda h: self.topology.hops(
-            router, self.router_of_bank(h.bank_id)))
 
     def _migrate_toward(self, block: int, entry: CacheBlock,
                         holding: L2Holding, requester_router: int,
@@ -154,7 +120,6 @@ class DNuca(NucaArchitecture):
             existing.tokens += tokens
             existing.dirty = existing.dirty or entry.dirty
             self.banks[dst_bank].touch(existing)
-            self.migrations += 1
             return
         entry.tokens = tokens
         victim = dst_set.lru_block()
@@ -182,7 +147,6 @@ class DNuca(NucaArchitecture):
             self.on_l2_eviction(dst_bank, dst_index, evicted, etokens, False,
                                 t)
         self.ledger.register_l2(block, dst_bank, dst_index, entry)
-        self.migrations += 1
 
     # -- eviction routing ------------------------------------------------------------------
 
@@ -201,8 +165,6 @@ class DNuca(NucaArchitecture):
                 holding.entry.dirty = holding.entry.dirty or line.dirty
                 self.banks[own_bank].touch(holding.entry)
                 return
-        if holdings:
-            self.replications += 1  # a second bankset copy is born
         self.merge_or_allocate(own_bank, self.dnuca_index(block),
                                block, BlockClass.SHARED, -1,
                                tokens, line.dirty, t=t)

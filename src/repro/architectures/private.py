@@ -29,47 +29,23 @@ class TiledPrivate(NucaArchitecture):
         if entry is not None:
             self._on_local_hit(core, entry)
             t2 = self.bank_service(bank_id, t, hit=True)
-            tokens, dirty, _ = self.take_from_l2_entry(
-                block, bank_id, index, entry, want_all=True)
-            if is_write and tokens < self.ledger.total_tokens:
-                t_coll, extra, _ = self.collect_for_write(core, block,
-                                                          core_router, t2)
-                tokens += extra
-                t2 = max(t2, t_coll)
-            self.system.l1_fill(core, block, tokens, dirty or is_write, t2)
-            return t2, Supplier.L2_LOCAL
+            return self.serve_l2_hit(core, block, bank_id, index, entry,
+                                     core_router, is_write, t2, want_all=True)
         t2 = self.bank_service(bank_id, t, hit=False)
-        if is_write and self.ledger.on_chip(block):
-            source = self._nearest_source(core, block)
-            t_done, tokens, _ = self.collect_for_write(core, block,
-                                                       core_router, t2)
-            self.system.l1_fill(core, block, tokens, True, t_done)
-            supplier = (Supplier.L1_REMOTE if source and source[0] == "l1"
-                        else Supplier.L2_REMOTE)
-            return t_done, supplier
         source = self._nearest_source(core, block)
-        if source is not None:
-            kind, obj = source
-            if kind == "l1":
-                tokens, dirty = self.take_read_from_l1(block, obj)
-                t_done = self.supply_from_l1(core, obj, core_router, t2)
-                self.system.l1_fill(core, block, tokens, dirty, t_done)
-                return t_done, Supplier.L1_REMOTE
-            holding = obj
-            remote_router = self.router_of_bank(holding.bank_id)
-            t3 = self.req(core_router, remote_router, t2)
-            t4 = self.bank_service(holding.bank_id, t3, hit=True)
-            tokens, dirty, _ = self.take_from_l2_entry(
-                block, holding.bank_id, holding.set_index, holding.entry,
-                want_all=False, exclusive_if_sole=False)
-            t_done = self.data(remote_router, core_router, t4)
-            self.system.l1_fill(core, block, tokens, dirty, t_done)
-            return t_done, Supplier.L2_REMOTE
-        t_done = self.fetch_offchip(core_router, t2, core_router)
-        tokens = self.ledger.take_from_memory(block)
-        assert tokens > 0
-        self.system.l1_fill(core, block, tokens, is_write, t_done)
-        return t_done, Supplier.OFFCHIP
+        if source is None:
+            return self.fill_from_memory(
+                core, block, is_write,
+                self.fetch_offchip(core_router, t2, core_router))
+        kind, obj = source
+        if is_write:
+            t_done = self.collect_into_l1(core, block, core_router, t2)
+            return t_done, (Supplier.L1_REMOTE if kind == "l1"
+                            else Supplier.L2_REMOTE)
+        if kind == "l1":
+            return self.serve_from_l1s(core, block, False, (obj,),
+                                       core_router, t2)
+        return self.borrow_from_l2(core, block, obj, core_router, t2)
 
     def _on_local_hit(self, core: int, entry) -> None:
         """Hook for subclasses (ASR counts replica hits here)."""

@@ -28,6 +28,9 @@ class SharedNuca(NucaArchitecture):
         t1 = self.req(core_router, home_router, t)
         entry = self.banks[bank_id].lookup(index, block)
         if entry is not None:
+            # Not serve_l2_hit: the data reply leaves before the write
+            # invalidations (serve_l2_hit sends it after them), and
+            # merging the two changed the shared/oltp result pins.
             t2 = self.bank_service(bank_id, t1, hit=True)
             tokens, dirty, _ = self.take_from_l2_entry(
                 block, bank_id, index, entry, want_all=is_write)
@@ -43,48 +46,35 @@ class SharedNuca(NucaArchitecture):
                         else Supplier.L2_SHARED)
             return t_done, supplier
         t2 = self.bank_service(bank_id, t1, hit=False)
-        state = self.ledger.state(block)
-        holders = [h for h in state.l1 if h != core]
+        holders = [h for h in self.ledger.state(block).l1 if h != core]
         if holders:
-            if is_write:
-                t_done, tokens, _ = self.collect_for_write(core, block,
-                                                           home_router, t2)
-                self.system.l1_fill(core, block, tokens, True, t_done)
-                return t_done, Supplier.L1_REMOTE
-            holder = min(holders, key=lambda h: self.topology.hops(
-                home_router, self.router_of_core(h)))
-            tokens, dirty = self.take_read_from_l1(block, holder)
-            t_done = self.supply_from_l1(core, holder, home_router, t2)
-            self.system.l1_fill(core, block, tokens, dirty, t_done)
-            return t_done, Supplier.L1_REMOTE
-        holdings = self.ledger.l2_holdings(block)
-        if holdings:
-            # Possible only in subclasses that keep extra L2 copies
-            # (e.g. Victim Replication's local replicas): the home bank
-            # forwards to the copy's bank.
-            holding = min(holdings, key=lambda h: self.topology.hops(
-                home_router, self.router_of_bank(h.bank_id)))
+            return self.serve_from_l1s(core, block, is_write, holders,
+                                       home_router, t2)
+        # An L2 copy outside the home bank exists only in subclasses
+        # that keep extra copies (e.g. Victim Replication's local
+        # replicas): the home bank forwards to the nearest one.
+        holding = self.nearest_holding(block, home_router)
+        if holding is not None:
+            if not is_write:
+                return self.borrow_from_l2(core, block, holding, home_router,
+                                           t2)
+            # Not serve_l2_hit: the writer's invalidations start at the
+            # home bank, and the data leaves the copy only after them.
             remote_router = self.router_of_bank(holding.bank_id)
             t3 = self.req(home_router, remote_router, t2)
             t4 = self.bank_service(holding.bank_id, t3, hit=True)
-            tokens, dirty, _ = self.take_from_l2_entry(
+            tokens, _, _ = self.take_from_l2_entry(
                 block, holding.bank_id, holding.set_index, holding.entry,
-                want_all=is_write, exclusive_if_sole=False)
-            if is_write:
-                t_coll, extra, _ = self.collect_for_write(core, block,
-                                                          home_router, t4)
-                tokens += extra
-                dirty = True
-                t4 = max(t4, t_coll)
-            t_done = self.data(remote_router, core_router, t4)
-            self.system.l1_fill(core, block, tokens, dirty, t_done)
+                want_all=True)
+            t_coll, extra, _ = self.collect_for_write(core, block,
+                                                      home_router, t4)
+            t_done = self.data(remote_router, core_router, max(t4, t_coll))
+            self.system.l1_fill(core, block, tokens + extra, True, t_done)
             return t_done, Supplier.L2_REMOTE
         # Off chip: the home bank dispatches to its nearest controller.
-        t_done = self.fetch_offchip(home_router, t2, core_router)
-        tokens = self.ledger.take_from_memory(block)
-        assert tokens > 0, "no on-chip copy implies memory holds tokens"
-        self.system.l1_fill(core, block, tokens, is_write, t_done)
-        return t_done, Supplier.OFFCHIP
+        return self.fill_from_memory(
+            core, block, is_write,
+            self.fetch_offchip(home_router, t2, core_router))
 
     def route_l1_eviction(self, core: int, line: L1Line, t: int = 0) -> None:
         block = line.block

@@ -59,18 +59,11 @@ class VictimReplication(SharedNuca):
             if entry is not None:
                 self._replica_hits.value += 1
                 t_hit = self.bank_service(bank_id, t, hit=True)
-                tokens, dirty, _ = self.take_from_l2_entry(
-                    block, bank_id, index, entry,
-                    want_all=is_write, exclusive_if_sole=False)
-                t_done = t_hit
-                if is_write:
-                    t_coll, extra, _ = self.collect_for_write(
-                        core, block, self.router_of_core(core), t_hit)
-                    tokens += extra
-                    t_done = max(t_done, t_coll)
-                self.system.l1_fill(core, block, tokens, dirty or is_write,
-                                    t_done)
-                return t_done, Supplier.L2_LOCAL
+                # The replica lends reads one token and keeps serving
+                # its owner; a write takes every token.
+                return self.serve_l2_hit(core, block, bank_id, index, entry,
+                                         self.router_of_core(core), is_write,
+                                         t_hit, exclusive_if_sole=False)
             t = self.bank_service(bank_id, t, hit=False)
         return super().handle_miss(core, block, is_write, t)
 

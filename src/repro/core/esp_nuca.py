@@ -142,16 +142,13 @@ class EspNuca(SpNuca):
                            t_hit: int) -> Tuple[int, Supplier]:
         if entry.cls is BlockClass.REPLICA:
             self._replica_hits.value += 1
-            if not is_write:
-                # Serve reads token-by-token so the replica persists
-                # across reuses instead of swapping into the L1 and
-                # being recreated (and re-evicting a neighbour) on
-                # every L1 eviction cycle.
-                tokens, dirty, _ = self.take_from_l2_entry(
-                    block, bank_id, index, entry,
-                    want_all=False, exclusive_if_sole=False)
-                self.system.l1_fill(core, block, tokens, dirty, t_hit)
-                return t_hit, Supplier.L2_LOCAL
+            # Lend reads token-by-token so the replica persists across
+            # reuses instead of swapping into the L1 and being recreated
+            # (and re-evicting a neighbour) on every L1 eviction cycle;
+            # a write still takes every token.
+            return self.serve_l2_hit(core, block, bank_id, index, entry,
+                                     self.router_of_core(core), is_write,
+                                     t_hit, exclusive_if_sole=False)
         return super()._serve_private_hit(core, block, entry, bank_id,
                                           index, is_write, t_hit)
 
@@ -162,21 +159,9 @@ class EspNuca(SpNuca):
             self._victim_hits.value += 1
             if entry.owner == core:
                 # The owner reclaims its victim: swap it back into L1.
-                tokens, dirty, _ = self.take_from_l2_entry(
-                    block, bank_id, index, entry, want_all=True)
-                t_done = t_hit
-                if is_write and tokens < self.ledger.total_tokens:
-                    t_coll, extra, _ = self.collect_for_write(
-                        core, block, sb_router, t_hit)
-                    tokens += extra
-                    t_done = max(t_done, t_coll)
-                core_router = self.router_of_core(core)
-                t_done = max(t_done, self.data(sb_router, core_router, t_hit))
-                self.system.l1_fill(core, block, tokens, dirty or is_write,
-                                    t_done)
-                supplier = (Supplier.L2_LOCAL if sb_router == core_router
-                            else Supplier.L2_SHARED)
-                return t_done, supplier
+                return self.serve_l2_hit(core, block, bank_id, index, entry,
+                                         sb_router, is_write, t_hit,
+                                         want_all=True)
             # A second core reached a remote private block that already
             # sits at its shared-map location: demote it in place.
             self.banks[bank_id].reclassify(index, entry, BlockClass.SHARED)

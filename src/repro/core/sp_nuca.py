@@ -116,12 +116,9 @@ class SpNuca(NucaArchitecture):
             self._observe_shadow_miss(sb, sidx, block, BlockClass.SHARED)
         if off_chip:
             t_mem = self.fetch_offchip(core_router, t_pmiss, core_router)
-            tokens = self.ledger.take_from_memory(block)
-            assert tokens > 0
             self.classifier.on_arrival(block, core)
-            t_done = max(t_mem, t_smiss)
-            self.system.l1_fill(core, block, tokens, is_write, t_done)
-            return t_done, Supplier.OFFCHIP
+            return self.fill_from_memory(core, block, is_write,
+                                         max(t_mem, t_smiss))
         # Step 3/3': forward to L1 holders or other private banks.
         return self._serve_remote(core, block, sb, sidx, sb_router,
                                   is_write, t_smiss)
@@ -132,16 +129,9 @@ class SpNuca(NucaArchitecture):
                            bank_id: int, index: int, is_write: bool,
                            t_hit: int) -> Tuple[int, Supplier]:
         """Hit in the requester's own partition: swap the block into L1."""
-        tokens, dirty, _ = self.take_from_l2_entry(block, bank_id, index,
-                                                   entry, want_all=True)
-        t_done = t_hit
-        if is_write and tokens < self.ledger.total_tokens:
-            t_coll, extra, _ = self.collect_for_write(
-                core, block, self.router_of_core(core), t_hit)
-            tokens += extra
-            t_done = max(t_done, t_coll)
-        self.system.l1_fill(core, block, tokens, dirty or is_write, t_done)
-        return t_done, Supplier.L2_LOCAL
+        return self.serve_l2_hit(core, block, bank_id, index, entry,
+                                 self.router_of_core(core), is_write, t_hit,
+                                 want_all=True)
 
     def _note_access(self, block: int, core: int) -> None:
         """Classifier update with a demotion instant when the private
@@ -160,22 +150,8 @@ class SpNuca(NucaArchitecture):
                           bank_id: int, index: int, sb_router: int,
                           is_write: bool, t_hit: int) -> Tuple[int, Supplier]:
         self._note_access(block, core)
-        core_router = self.router_of_core(core)
-        if is_write:
-            tokens, _, _ = self.take_from_l2_entry(block, bank_id, index,
-                                                   entry, want_all=True)
-            t_coll, extra, _ = self.collect_for_write(core, block,
-                                                      sb_router, t_hit)
-            t_done = max(self.data(sb_router, core_router, t_hit), t_coll)
-            self.system.l1_fill(core, block, tokens + extra, True, t_done)
-        else:
-            tokens, dirty, _ = self.take_from_l2_entry(block, bank_id, index,
-                                                       entry, want_all=False)
-            t_done = self.data(sb_router, core_router, t_hit)
-            self.system.l1_fill(core, block, tokens, dirty, t_done)
-        supplier = (Supplier.L2_LOCAL if sb_router == core_router
-                    else Supplier.L2_SHARED)
-        return t_done, supplier
+        return self.serve_l2_hit(core, block, bank_id, index, entry,
+                                 sb_router, is_write, t_hit)
 
     # -- the 3' path -------------------------------------------------------------------
 
@@ -185,56 +161,35 @@ class SpNuca(NucaArchitecture):
         """Block is on chip but in neither probed bank: remote private
         banks (migrate + demote) or remote L1s supply it."""
         self._note_access(block, core)
-        core_router = self.router_of_core(core)
-        state = self.ledger.state(block)
-        holding = self._pick_remote_holding(state.l2.values(), sb_router)
+        holding = self.nearest_holding(block, sb_router)
         if holding is not None:
             return self._serve_remote_l2(core, block, holding, sb, sidx,
                                          sb_router, is_write, t)
-        holders = [h for h in state.l1 if h != core]
+        holders = [h for h in self.ledger.state(block).l1 if h != core]
         assert holders, "on-chip block must have a holder"
-        if is_write:
-            t_done, tokens, _ = self.collect_for_write(core, block,
-                                                       sb_router, t)
-            self.system.l1_fill(core, block, tokens, True, t_done)
-            return t_done, Supplier.L1_REMOTE
-        holder = min(holders, key=lambda h: self.topology.hops(
-            sb_router, self.router_of_core(h)))
-        tokens, dirty = self.take_read_from_l1(block, holder)
-        t_done = self.supply_from_l1(core, holder, sb_router, t)
-        self.system.l1_fill(core, block, tokens, dirty, t_done)
-        return t_done, Supplier.L1_REMOTE
-
-    def _pick_remote_holding(self, holdings, sb_router: int
-                             ) -> Optional[L2Holding]:
-        candidates = list(holdings)
-        if not candidates:
-            return None
-        return min(candidates, key=lambda h: self.topology.hops(
-            sb_router, self.router_of_bank(h.bank_id)))
+        return self.serve_from_l1s(core, block, is_write, holders, sb_router,
+                                   t)
 
     def _serve_remote_l2(self, core: int, block: int, holding: L2Holding,
                          sb: int, sidx: int, sb_router: int, is_write: bool,
                          t: int) -> Tuple[int, Supplier]:
         entry = holding.entry
+        if not is_write and entry.cls is BlockClass.REPLICA:
+            # Another core's local copy of shared data: borrow a token,
+            # leave the replica serving its owner.
+            return self.borrow_from_l2(core, block, holding, sb_router, t)
         remote_router = self.router_of_bank(holding.bank_id)
         core_router = self.router_of_core(core)
         t1 = self.req(sb_router, remote_router, t)
         t2 = self.bank_service(holding.bank_id, t1, hit=True)
         if is_write:
+            # Not serve_l2_hit: collect_for_write also gathers this copy
+            # (nothing is taken from it first), and the data hop from
+            # its bank is charged beside that collection.
             t_coll, tokens, _ = self.collect_for_write(core, block,
                                                        sb_router, t2)
             t_done = max(self.data(remote_router, core_router, t2), t_coll)
             self.system.l1_fill(core, block, tokens, True, t_done)
-            return t_done, Supplier.L2_REMOTE
-        if entry.cls is BlockClass.REPLICA:
-            # Another core's local copy of shared data: borrow a token,
-            # leave the replica serving its owner.
-            tokens, dirty, _ = self.take_from_l2_entry(
-                block, holding.bank_id, holding.set_index, entry,
-                want_all=False, exclusive_if_sole=False)
-            t_done = self.data(remote_router, core_router, t2)
-            self.system.l1_fill(core, block, tokens, dirty, t_done)
             return t_done, Supplier.L2_REMOTE
         # Private block in a remote private bank: reset the private bit
         # and migrate the copy to its shared bank (Section 2.3).

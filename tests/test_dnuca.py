@@ -42,7 +42,6 @@ class TestSearchAndMigration:
         assert any(h.bank_id == start_bank
                    for h in system.ledger.l2_holdings(block))
         access(system, 3, block)
-        assert arch.migrations >= 1
         # The surviving copy moved out of cluster 0 toward cluster 3.
         banks = {h.bank_id for h in system.ledger.l2_holdings(block)}
         assert start_bank not in banks and banks
@@ -72,7 +71,6 @@ class TestReplication:
         banks = {h.bank_id for h in system.ledger.l2_holdings(block)}
         assert len(banks) == 2
         assert arch.bank_of(block, 7) in banks
-        assert arch.replications >= 1
 
     def test_replica_serves_local_after_migration_chain(self):
         system = build("d-nuca")
