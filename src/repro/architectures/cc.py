@@ -107,7 +107,8 @@ class CooperativeCaching(TiledPrivate):
         source = self._nearest_source(core, block)
         spilled_source = (source is not None and source[0] == "l2"
                           and source[1].entry.meta.get("spilled"))
-        t_done, supplier = super().handle_miss(core, block, is_write, t)
+        t_done, supplier = super().handle_miss(core, block, is_write, t,
+                                                source)
         if spilled_source:
             self._spill_hits.value += 1
         if supplier in (Supplier.L1_REMOTE, Supplier.L2_REMOTE):

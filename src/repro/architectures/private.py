@@ -17,11 +17,19 @@ from repro.cache.l1 import L1Line
 from repro.sim.request import Supplier
 
 
+#: ``TiledPrivate.handle_miss``'s default ``source``: not looked up yet.
+_UNSEARCHED = object()
+
+
 class TiledPrivate(NucaArchitecture):
     name = "private"
 
-    def handle_miss(self, core: int, block: int, is_write: bool, t: int
-                    ) -> Tuple[int, Supplier]:
+    def handle_miss(self, core: int, block: int, is_write: bool, t: int,
+                    source: object = _UNSEARCHED) -> Tuple[int, Supplier]:
+        """Serve an L1 miss. A subclass that already called
+        :meth:`_nearest_source` for this miss passes its result as
+        ``source``; nothing before the private-bank miss changes the
+        ledger, so it is the one this method would find."""
         bank_id = self.amap.private_bank(block, core)
         index = self.amap.private_index(block)
         core_router = self.router_of_core(core)  # == the bank's router
@@ -32,7 +40,8 @@ class TiledPrivate(NucaArchitecture):
             return self.serve_l2_hit(core, block, bank_id, index, entry,
                                      core_router, is_write, t2, want_all=True)
         t2 = self.bank_service(bank_id, t, hit=False)
-        source = self._nearest_source(core, block)
+        if source is _UNSEARCHED:
+            source = self._nearest_source(core, block)
         if source is None:
             return self.fill_from_memory(
                 core, block, is_write,

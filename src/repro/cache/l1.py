@@ -35,11 +35,6 @@ class L1Cache:
         self.assoc = assoc
         self._sets: List[Dict[int, L1Line]] = [dict() for _ in range(num_sets)]
         self._stamp = 0
-        # Membership journal (docs/engine.md): the vectorized engine
-        # installs a MirrorJournal here to observe install/evict/
-        # invalidate transitions; None (the default) costs one attribute
-        # test on the fill/invalidate paths only.
-        self.journal = None
         # Statistics scope, mounted at ``l1.core<i>`` by the system.
         self.stats = Scope()
         self._hits = self.stats.counter("hits")
@@ -95,25 +90,10 @@ class L1Cache:
         self._stamp += 1
         line.lru = self._stamp
         cache_set[block] = line
-        j = self.journal
-        if evicted is not None and j is not None:
-            # Journal hook, fresh install (contract: the
-            # repro.sim.vector.mirror docstring).
-            run = j.runs[self.core_id]
-            if run is not None and evicted.block in run:
-                j.dirty.add(self.core_id)
         return line, evicted, False
 
     def invalidate(self, block: int) -> Optional[L1Line]:
-        line = self._sets[block % self.num_sets].pop(block, None)
-        j = self.journal
-        if line is not None and j is not None:
-            # Journal hook, invalidation (contract: the
-            # repro.sim.vector.mirror docstring).
-            run = j.runs[self.core_id]
-            if run is not None and block in run:
-                j.dirty.add(self.core_id)
-        return line
+        return self._sets[block % self.num_sets].pop(block, None)
 
     def resident_blocks(self) -> List[int]:
         return [b for s in self._sets for b in s]

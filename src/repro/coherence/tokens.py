@@ -79,16 +79,6 @@ class TokenLedger:
         self.num_cores = num_cores
         self.total_tokens = 2 * num_cores
         self.checking = checking
-        # Observation hook (docs/engine.md): take_from_l1 is the single
-        # chokepoint through which L1 token counts ever decrease, so
-        # the vectorized engine's mirror journal subscribes here to
-        # learn when a line's full-token status (write locality) may
-        # have lapsed. The journal object itself is installed (duck
-        # typed: ``runs``/``dirty``) and its field updates
-        # are inlined in take_from_l1 — the hook fires once per token
-        # withdrawal, too hot for a method call (the contract is in the
-        # repro.sim.vector.mirror docstring).
-        self.l1_journal = None
         self._states: Dict[int, BlockState] = _StateMap(self.total_tokens)
         # Statistics scope, mounted at ``coherence`` by the system.
         self.stats = Scope()
@@ -159,13 +149,6 @@ class TokenLedger:
         line.tokens -= taken
         if line.tokens == 0:
             del state.l1[core]
-        j = self.l1_journal
-        if taken and j is not None:
-            # Journal hook, token withdrawal (contract: the
-            # repro.sim.vector.mirror docstring).
-            run = j.runs[core]
-            if run is not None and block in run:
-                j.dirty.add(core)
         if self.checking:
             self._check(block)
         return taken

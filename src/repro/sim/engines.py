@@ -8,8 +8,9 @@ snapshots for the same (config, settings, workload, seed):
   every equivalence claim bottoms out in "same result as the reference
   engine".
 * ``vectorized`` — :class:`~repro.sim.vector.engine.VectorizedEngine`,
-  epoch-batched processing of local (contention-free) reference runs
-  between contention points. The default.
+  the same ``(core clock, core id)`` order, served in per-core bursts
+  through an inline copy of the timing step and access path instead of
+  one heap round trip and method chain per reference. The default.
 
 Resolution order for the engine name: explicit argument, then the
 ``REPRO_ENGINE`` environment variable, then the default. Because both

@@ -21,6 +21,10 @@ from repro.sim.request import Supplier
 
 #: Fields keyed by the Supplier enum, serialized by member name.
 _SUPPLIER_FIELDS = ("supplier_count", "supplier_cycles")
+#: Member name -> Supplier: a plain dict lookup per key where
+#: ``Supplier[name]`` is a Python-level ``Enum.__getitem__`` call, and
+#: ``from_dict`` makes one per supplier field key on every cache hit.
+_SUPPLIER_BY_NAME = {s.name: s for s in Supplier}
 
 
 @dataclass
@@ -147,7 +151,7 @@ class SimResult:
         kwargs = dict(data)
         try:
             for name in _SUPPLIER_FIELDS:
-                kwargs[name] = {Supplier[k]: v
+                kwargs[name] = {_SUPPLIER_BY_NAME[k]: v
                                 for k, v in kwargs[name].items()}
         except (KeyError, AttributeError, TypeError):
             return None

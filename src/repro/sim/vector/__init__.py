@@ -1,11 +1,10 @@
-"""Vectorized batch engine (docs/engine.md).
+"""Inline-served batch engine (docs/engine.md).
 
-Struct-of-arrays trace views, an L1 change journal, and the
-epoch-batched
-:class:`~repro.sim.vector.engine.VectorizedEngine` that commits
-contention-free reference runs in bulk between contention points,
-serving the contention points through the shared architecture and
-timing methods, while producing byte-identical results to the
+:class:`~repro.sim.vector.engine.VectorizedEngine` serves references in
+the reference engine's ``(core clock, core id)`` order, but keeps the
+earliest core on the floor for as long as it stays the earliest and
+serves each reference through an inline copy of the core timing step
+and the L1 access path, while producing byte-identical results to the
 reference engine.
 """
 

@@ -114,6 +114,12 @@ class TestSnapshotRoundTrip:
         del payload["noc_messages"]
         assert SimResult.from_dict(payload) is None
 
+    def test_unknown_supplier_name_returns_none(self, run):
+        _, result = run
+        payload = result.to_dict()
+        payload["supplier_cycles"]["L3_LOCAL"] = 0
+        assert SimResult.from_dict(payload) is None
+
 
 class TestWarmupReset:
     def test_reset_zeroes_every_registered_stat(self):

@@ -14,9 +14,13 @@ Layers, cheapest first:
   regardless of engine selection;
 * **conservation on the vectorized engine** — the per-component sums
   that back the stats tables;
+* **run shapes** — every fuzz architecture under a reference cap
+  shorter than the traces, a warm-up phase, an idle core, unequal trace
+  lengths, and identical traces on every core (exact clock ties
+  between cores);
 * **fallback path** — checker-enabled runs take the reference schedule
   inside the vectorized engine and still match;
-* **bounded-commit tie** — a directed two-core trace where a local
+* **burst-boundary tie** — a directed two-core trace where a local
   read ties with another core's write on the clock;
 * **long local runs** — a high-hit trace;
 * **selection plumbing** — ``RunSettings.engine`` is honored through
@@ -38,6 +42,7 @@ from repro.harness.executor import Executor, RunPoint
 from repro.harness.runcache import RunCache
 from repro.harness.runner import RunSettings
 from repro.sim.cpu import Trace, TraceItem, TraceKind
+from repro.sim.engine import SimulationEngine
 from repro.sim.engines import (DEFAULT_ENGINE, ENGINES, build_engine,
                                resolve_engine)
 from repro.sim.request import Supplier
@@ -47,9 +52,9 @@ from repro.workloads.base import TraceGenerator
 from repro.workloads.registry import get_workload
 
 
-def run_engine(engine: str, arch: str, traces, config) -> dict:
+def run_engine(engine: str, arch: str, traces, config, **run_args) -> dict:
     system = CmpSystem(config, make_architecture(arch, config))
-    return build_engine(system, traces, engine).run().to_dict()
+    return build_engine(system, traces, engine).run(**run_args).to_dict()
 
 
 def workload_traces(workload: str, seed: int, refs: int, config,
@@ -217,6 +222,91 @@ class TestConservationOnVectorized:
                 == result.noc_queueing)
 
 
+class KeyRecorder(SimulationEngine):
+    """The reference engine, recording the ``(clock, core)`` key of
+    every reference it serves, in serving order."""
+
+    def __init__(self, system, traces) -> None:
+        super().__init__(system, traces)
+        self.keys = []
+
+    def _next_item(self, core_id: int):
+        item = super()._next_item(core_id)
+        if item is not None:
+            self.keys.append((self.cores[core_id].clock, core_id))
+        return item
+
+
+def shaped_run(case: str, config):
+    """The traces and ``run()`` arguments of one run-shape case: the
+    fuzz traces (150 references per core) cut or arranged so the
+    vectorized engine's per-core limits, its phase boundary and its
+    tie rule between cores are exercised."""
+    traces = fuzz_traces(config, seed=13, refs_per_core=150)
+    if case == "cap":
+        return traces, {"max_refs_per_core": 90}
+    if case == "warmup":
+        return traces, {"warmup_refs_per_core": 40}
+    if case == "warmup-and-cap":
+        return traces, {"max_refs_per_core": 70, "warmup_refs_per_core": 50}
+    if case == "idle-core":
+        traces[3] = None
+        return traces, {"warmup_refs_per_core": 30}
+    if case == "unequal-lengths":
+        # Core i stops after 20 + 18 i references: some cores run out
+        # during the warm-up, some during the measured phase, and the
+        # last ones reach the cap.
+        return ([t[:20 + 18 * i] for i, t in enumerate(traces)],
+                {"max_refs_per_core": 100, "warmup_refs_per_core": 40})
+    if case == "tied-clocks":
+        # Every core replays core 0's trace: the cores' clocks tie
+        # exactly until their accesses' latencies first differ, and
+        # keep tying wherever they meet again.
+        return [list(traces[0]) for _ in traces], {}
+    raise ValueError(case)
+
+
+SHAPE_CASES = ("cap", "warmup", "warmup-and-cap", "idle-core",
+               "unequal-lengths", "tied-clocks")
+
+
+class TestRunShapes:
+    """Caps, warm-up phases, idle cores, unequal traces and clock ties,
+    on every policy family: each case sets per-core limits or key ties
+    that full-length runs of equal traces never reach."""
+
+    @pytest.mark.parametrize("case", SHAPE_CASES)
+    @pytest.mark.parametrize("arch", FUZZ_ARCHITECTURES)
+    def test_shape(self, arch: str, case: str) -> None:
+        config = small_config(checks=False)
+        traces, run_args = shaped_run(case, config)
+        ref = run_engine("reference", arch, traces, config, **run_args)
+        vec = run_engine("vectorized", arch, traces, config, **run_args)
+        assert_identical(ref, vec, f"{arch}, {case}")
+
+    def test_cases_reach_their_boundaries(self) -> None:
+        """The unequal-lengths case stops where it says, and the
+        tied-clocks case serves references of different cores at one
+        key clock, back to back, lower core id first."""
+        config = small_config(checks=False)
+        traces, run_args = shaped_run("unequal-lengths", config)
+        result = run_engine("reference", "shared", traces, config,
+                            **run_args)
+        served = [min(len(t), 140) - min(len(t), 40) for t in traces]
+        assert result["memory_accesses"] == sum(served)
+        assert 0 in served and 100 in served
+        traces, _ = shaped_run("tied-clocks", config)
+        engine = KeyRecorder(
+            CmpSystem(config, make_architecture("shared", config)),
+            [iter(t) for t in traces])
+        engine.run()
+        keys = engine.keys
+        ties = [(a, b) for a, b in zip(keys, keys[1:])
+                if a[0] == b[0] and a[1] != b[1]]
+        assert len(ties) > 50
+        assert all(a[1] < b[1] for a, b in ties)
+
+
 class TestFallbackPath:
     def test_checker_run_falls_back_and_matches(self) -> None:
         """With invariant checking on, the vectorized engine takes the
@@ -229,17 +319,17 @@ class TestFallbackPath:
 
 
 class TestBoundedCommitTie:
-    """A local run commits only the references whose key ``(clock,
-    core)`` orders strictly before the owner's: on an exact clock tie
-    the lower core id goes first.
+    """A core keeps serving only while its key ``(clock, core)`` orders
+    strictly before every other core's: on an exact clock tie at the
+    end of a burst the lower core id goes first.
 
     Core 1 fetches a block, then reads it twice more, both times at
     clock 1; core 0 writes the same block at clock 1 and needs core
     1's token to do so. The first of those reads is keyed by the clock
-    before its gap, (0, 1), so it commits from core 1's L1 ahead of the
+    before its gap, (0, 1), so it hits in core 1's L1 ahead of the
     write; the second is keyed (1, 1), ties with the write's (1, 0),
-    orders after it and misses. Committing it as part of core 1's
-    local run would count it as a local hit."""
+    orders after it and misses. Serving it in core 1's burst would
+    count it as a local hit."""
 
     def test_exact_clock_tie_orders_by_core_id(self) -> None:
         config = small_config(checks=False)
@@ -261,8 +351,8 @@ class TestBoundedCommitTie:
 
 
 class TestLongLocalRuns:
-    """High-hit phases commit local runs hundreds of references long,
-    cut by misses, evictions and token losses."""
+    """High-hit phases: stretches of L1 hits hundreds of references
+    long, cut by misses, evictions and token losses."""
 
     def test_high_hit_trace(self) -> None:
         config = scaled_config(8)
