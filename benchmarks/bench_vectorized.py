@@ -14,7 +14,8 @@ Four sections, all asserting byte-identical results between engines
    passes per engine, traces pre-materialized and GC paused: the
    honest engine-only number for the miss-dominated region.
 3. **locality_sweep** — synthetic private working sets scaled against
-   the L1: the speedup grows with the L1 hit rate, because an L1 hit is
+   the L1, each row timed by the same interleaved min-of-N protocol:
+   the speedup grows with the L1 hit rate, because an L1 hit is
    served entirely by the engine's inline step, while a miss spends
    most of its time in the policy, bank, ledger and NoC code both
    engines share.
@@ -107,18 +108,52 @@ def engine_grid(config, quick):
     return points, total
 
 
-#: Passes per engine for the contention grid; on a shared host single
-#: passes swing +-20%, min-of-N is the honest protocol (docs/performance.md).
+#: Passes per engine for the contention grid and for each locality
+#: row; on a shared host single passes swing +-20%, min-of-N is the
+#: honest protocol (docs/performance.md).
 CONTENTION_PASSES = 3
+LOCALITY_PASSES = 5
+
+
+def min_of_passes(points, passes, run):
+    """Per-engine minimum over ``passes`` passes of the summed wall time
+    of ``run(engine, point)`` (which returns ``(seconds, result)``) over
+    ``points``, and the reference engine's ``to_dict()`` per point.
+
+    Passes interleave the engines (pass 0: reference, vectorized;
+    pass 1: ...) so drifting host load penalizes both equally instead
+    of whichever happens to run last, and the GC is paused during each
+    pass so the numbers are engine wall-clock, not allocator noise. The
+    vectorized engine's results are asserted byte-identical to the
+    reference engine's.
+    """
+    baseline = {}
+    totals = {}
+    for p in range(passes):
+        for engine in ("reference", "vectorized"):
+            gc.collect()
+            gc.disable()
+            try:
+                elapsed = 0.0
+                for point in points:
+                    t, result = run(engine, point)
+                    elapsed += t
+                    if p == 0:
+                        if engine == "reference":
+                            baseline[point] = result.to_dict()
+                        else:
+                            assert result.to_dict() == baseline[point], \
+                                f"{engine} diverged at {point}"
+            finally:
+                gc.enable()
+            totals[engine] = min(totals.get(engine, elapsed), elapsed)
+    return totals, baseline
 
 
 def contention_grid(config, quick):
     """Min-of-N engine-only timing of the miss-dominated cold grid.
 
-    Both engines over the same trace sets. Traces are materialized once
-    and the GC is paused during timed passes so the numbers are engine
-    wall-clock, not allocator noise. The vectorized engine's results
-    are asserted byte-identical to the reference engine's.
+    Both engines over the same trace sets, materialized once.
     """
     archs = ARCHS[:2] if quick else ARCHS
     workloads = WORKLOADS[:2] if quick else WORKLOADS
@@ -127,34 +162,9 @@ def contention_grid(config, quick):
     trace_sets = {(w, s): materialize_traces(config, SETTINGS, w, s)
                   for w in workloads for s in seeds}
     points = [(w, s, a) for w in workloads for s in seeds for a in archs]
-    baseline = {}
-    totals = {}
-    # Passes interleave the engines (pass 0: reference, vectorized;
-    # pass 1: ...) so drifting host load penalizes both equally instead
-    # of whichever happens to run last.
-    for p in range(passes):
-        for engine in ("reference", "vectorized"):
-            gc.collect()
-            gc.disable()
-            try:
-                elapsed = 0.0
-                for key in points:
-                    workload, seed, arch = key
-                    t, result = timed_run(
-                        engine, config, arch, trace_sets[workload, seed],
-                        SETTINGS.refs_per_core,
-                        SETTINGS.warmup_refs_per_core)
-                    elapsed += t
-                    if p == 0:
-                        if engine == "reference":
-                            baseline[key] = result.to_dict()
-                        else:
-                            assert result.to_dict() == baseline[key], \
-                                f"{engine} diverged at {key}"
-            finally:
-                gc.enable()
-            prev = totals.get(engine)
-            totals[engine] = elapsed if prev is None else min(prev, elapsed)
+    totals, _ = min_of_passes(points, passes, lambda engine, point: timed_run(
+        engine, config, point[2], trace_sets[point[:2]],
+        SETTINGS.refs_per_core, SETTINGS.warmup_refs_per_core))
     return totals, passes, len(points)
 
 
@@ -174,25 +184,26 @@ def locality_traces(config, fraction, seed):
 
 
 def locality_sweep(config, quick):
+    """Min-of-N interleaved timing of each locality row, as in
+    :func:`contention_grid`."""
     rows = []
     fractions = LOCALITY_FRACTIONS[1:3] if quick else LOCALITY_FRACTIONS
+    passes = 2 if quick else LOCALITY_PASSES
     for fraction in fractions:
         traces = locality_traces(config, fraction, seed=9)
-        ref_t, ref = timed_run("reference", config, "esp-nuca", traces,
-                               LOCALITY_REFS, 0)
-        vec_t, vec = timed_run("vectorized", config, "esp-nuca", traces,
-                               LOCALITY_REFS, 0)
-        assert ref.to_dict() == vec.to_dict(), \
-            f"locality fraction {fraction} diverged"
-        hits = ref.l1_hits / max(ref.l1_hits + ref.l1_misses, 1)
+        totals, results = min_of_passes(
+            [fraction], passes, lambda engine, _: timed_run(
+                engine, config, "esp-nuca", traces, LOCALITY_REFS, 0))
+        ref = results[fraction]
+        hits = ref["l1_hits"] / max(ref["l1_hits"] + ref["l1_misses"], 1)
         rows.append({
             "working_set_vs_l1": fraction,
             "l1_hit_rate": round(hits, 3),
-            "reference_s": round(ref_t, 3),
-            "vectorized_s": round(vec_t, 3),
-            "speedup": round(ref_t / vec_t, 2),
+            "reference_s": round(totals["reference"], 3),
+            "vectorized_s": round(totals["vectorized"], 3),
+            "speedup": round(totals["reference"] / totals["vectorized"], 2),
         })
-    return rows
+    return rows, passes
 
 
 def stack_passes(quick):
@@ -223,7 +234,7 @@ def main(argv=None):
 
     points, total = engine_grid(config, args.quick)
     contention, cont_passes, cont_points = contention_grid(config, args.quick)
-    sweep = locality_sweep(config, args.quick)
+    sweep, sweep_passes = locality_sweep(config, args.quick)
     times, cache_hits = stack_passes(args.quick)
 
     recorded_before = None
@@ -266,9 +277,12 @@ def main(argv=None):
         },
         "locality_sweep": {
             "label": "esp-nuca, synthetic private working sets scaled "
-                     "against the L1: the vectorized engine's gain grows "
-                     "with the L1 hit rate, since a hit is served wholly "
-                     "by its inline step",
+                     "against the L1, each row timed min-of-%d "
+                     "interleaved passes per engine with GC paused: the "
+                     "vectorized engine's gain grows with the L1 hit "
+                     "rate, since a hit is served wholly by its inline "
+                     "step" % sweep_passes,
+            "passes_per_engine": sweep_passes,
             "rows": sweep,
         },
         "stack": {

@@ -31,8 +31,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
 
 import pytest
 
-from repro.harness.executor import Executor, env_int
-from repro.harness.runcache import RunCache
+from repro.harness.executor import Executor
+from repro.harness.runcache import RunCache, env_int
 from repro.harness.runner import ExperimentRunner, RunSettings
 
 

@@ -26,27 +26,22 @@ process. Parallel batches route through the shared worker fabric
 pulling jobs from one queue, with heartbeats, crash detection and
 requeue-once recovery — the same pool the simulation service drives,
 so direct runs and ``esp-nuca gateway serve --workers N`` share one
-implementation. Custom architecture factories that cannot be pickled
-(lambdas, closures — e.g. the Section 5.2 ablations) are detected and
-simulated in the parent process; everything else goes to the fabric.
+implementation. Every run point names a registered architecture (a
+variant such as a Section 5.2 ablation is that name plus its config),
+so every point of a parallel batch can go to the fabric.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.architectures.registry import make_architecture
 from repro.common.config import SystemConfig
-# env_int lives in runcache (the bottom of the harness import graph) so
-# cache- and fabric-level knobs can use it too; re-exported here because
-# the runner, benchmarks and tests have always imported it from the
-# executor.
-from repro.harness.runcache import RunCache, cache_key, env_int  # noqa: F401
+from repro.harness.runcache import RunCache, cache_key, env_int
 from repro.obs import trace as obs
 from repro.obs.logging import get_logger
 from repro.sim.cpu import Trace
@@ -69,10 +64,11 @@ def default_jobs() -> int:
 class RunPoint:
     """One independent simulation: everything a worker needs.
 
-    ``arch`` is a registry name; for custom architectures it is ``None``
-    and ``factory(config)`` builds the instance, with ``name`` keying
-    the caches (it must encode the factory's parameters). ``settings``
-    is a :class:`~repro.harness.runner.RunSettings`.
+    ``arch`` is a registry name, built with ``config``. ``name`` keys
+    the caches and labels the result; it differs from ``arch`` for a
+    variant under a non-default config (an ablation), and must then
+    encode the config's parameters. ``settings`` is a
+    :class:`~repro.harness.runner.RunSettings`.
     """
 
     name: str
@@ -80,8 +76,7 @@ class RunPoint:
     seed: int
     config: SystemConfig
     settings: "RunSettings"  # noqa: F821 — runner imports this module
-    arch: Optional[str] = None
-    factory: Optional[Callable[[SystemConfig], object]] = None
+    arch: str
 
     @property
     def key(self) -> str:
@@ -164,10 +159,7 @@ def simulate_point(point: RunPoint) -> SimResult:
     This is the multiprocessing worker entry; it reproduces
     ``ExperimentRunner.run_one`` / ``run_custom`` exactly.
     """
-    if point.arch is not None:
-        architecture = make_architecture(point.arch, point.config)
-    else:
-        architecture = point.factory(point.config)
+    architecture = make_architecture(point.arch, point.config)
     system = CmpSystem(point.config, architecture)
     if system.tracer.enabled:
         # Label this run's sim-clock trace process before any event
@@ -184,21 +176,11 @@ def simulate_point(point: RunPoint) -> SimResult:
     result = engine.run(
         max_refs_per_core=point.settings.refs_per_core,
         warmup_refs_per_core=point.settings.warmup_refs_per_core)
-    if point.arch is None:
+    if point.name != point.arch:
         result.architecture = point.name
     result.workload = point.workload
     result.seed = point.seed
     return result
-
-
-def _picklable(point: RunPoint) -> bool:
-    if point.factory is None:
-        return True
-    try:
-        pickle.dumps(point)
-        return True
-    except Exception:
-        return False
 
 
 class Executor:
@@ -286,48 +268,40 @@ class Executor:
             self.executed += len(points)
         if self.jobs <= 1 or len(points) <= 1:
             return [self._simulate_span(p) for p in points]
+        # Contiguous (workload, seed) chunks let each worker reuse its
+        # materialized traces across architectures.
+        order = sorted(range(len(points)),
+                       key=lambda i: (points[i].workload, points[i].seed,
+                                      points[i].name))
+        jobs = min(self.jobs, len(order))
+        chunk = -(-len(order) // jobs)
+        tracer = obs.active()
+        if tracer.enabled and tracer.wants("executor"):
+            # Worker processes have their own (empty) tracer slot: their
+            # sim-clock events are not captured. The trace CLI forces
+            # jobs=1 for this reason.
+            tracer.instant(
+                "executor", "pool dispatch (sim events not captured)",
+                ts=tracer.wall_now(), pid=tracer.wall_pid,
+                tid="executor", args={"points": len(order)})
+        cache_spec = self.cache.spec()
+        chunks = [order[j:j + chunk] for j in range(0, len(order), chunk)]
+        payloads = [{"points": [(points[i].key, points[i]) for i in indices],
+                     "cache": cache_spec}
+                    for indices in chunks]
         out: List[Optional[SimResult]] = [None] * len(points)
-        pool_idx = [i for i, p in enumerate(points) if _picklable(p)]
-        local_idx = [i for i in range(len(points)) if i not in set(pool_idx)]
-        if len(pool_idx) > 1:
-            # Contiguous (workload, seed) chunks let each worker reuse
-            # its materialized traces across architectures.
-            pool_idx.sort(key=lambda i: (points[i].workload, points[i].seed,
-                                         points[i].name))
-            jobs = min(self.jobs, len(pool_idx))
-            chunk = -(-len(pool_idx) // jobs)
-            tracer = obs.active()
+        outcomes = self._ensure_pool().run_batch(payloads)
+        for indices, (values, worker_pid) in zip(chunks, outcomes):
+            for i, result in zip(indices, values):
+                out[i] = result
             if tracer.enabled and tracer.wants("executor"):
-                # Worker processes have their own (empty) tracer slot:
-                # their sim-clock events are not captured. The trace CLI
-                # forces jobs=1 for this reason.
+                # The distinct-PID evidence that parallel batches really
+                # ran in separate OS processes.
                 tracer.instant(
-                    "executor", "pool dispatch (sim events not captured)",
-                    ts=tracer.wall_now(), pid=tracer.wall_pid,
-                    tid="executor", args={"points": len(pool_idx)})
-            cache_spec = self.cache.spec()
-            ordered = [pool_idx[j:j + chunk]
-                       for j in range(0, len(pool_idx), chunk)]
-            payloads = [{"points": [(points[i].key, points[i])
-                                    for i in indices],
-                         "cache": cache_spec}
-                        for indices in ordered]
-            outcomes = self._ensure_pool().run_batch(payloads)
-            for indices, (values, worker_pid) in zip(ordered, outcomes):
-                for i, result in zip(indices, values):
-                    out[i] = result
-                if tracer.enabled and tracer.wants("executor"):
-                    # The distinct-PID evidence that parallel batches
-                    # really ran in separate OS processes.
-                    tracer.instant(
-                        "executor", "pool run", ts=tracer.wall_now(),
-                        pid=tracer.wall_pid, tid="executor",
-                        args={"worker_pid": worker_pid,
-                              "points": len(indices)})
-        else:
-            local_idx = sorted(local_idx + pool_idx)
-        for i in local_idx:
-            out[i] = self._simulate_span(points[i])
+                    "executor", "pool run", ts=tracer.wall_now(),
+                    pid=tracer.wall_pid, tid="executor",
+                    args={"worker_pid": worker_pid,
+                          "points": len(indices)})
         return out  # type: ignore[return-value]
 
     # -- the worker fabric ---------------------------------------------------

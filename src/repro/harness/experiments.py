@@ -254,8 +254,6 @@ def ablation(runner: ExperimentRunner,
     """Sensitivity of ESP-NUCA to the duel parameters (d, a, b) and the
     number of monitored conventional sets — the sweep behind the
     Section 5.2 configuration choice."""
-    from repro.core.esp_nuca import EspNuca
-
     workloads = list(workloads or ["apache", "oltp", "CG", "art-4"])
     base_cfg = runner.config
     variants: Dict[str, EspConfig] = {
@@ -274,18 +272,18 @@ def ablation(runner: ExperimentRunner,
         experiment="ablation",
         title="ESP-NUCA parameter sensitivity (normalized to SP-NUCA)",
         columns=workloads + ["GMEAN"])
+    configs = {label: replace(base_cfg, esp=esp_cfg)
+               for label, esp_cfg in variants.items()}
     runner.prefetch(["sp-nuca"], workloads)
     runner.prefetch_custom(
-        [(f"esp[{label}]", replace(base_cfg, esp=esp_cfg),
-          lambda c: EspNuca(c), wl)
-         for label, esp_cfg in variants.items() for wl in workloads])
-    for label, esp_cfg in variants.items():
-        cfg = replace(base_cfg, esp=esp_cfg)
+        [(f"esp[{label}]", cfg, "esp-nuca", wl)
+         for label, cfg in configs.items() for wl in workloads])
+    for label, cfg in configs.items():
         values = []
         for wl in workloads:
             base = runner.aggregate("sp-nuca", wl).performance
-            agg = runner.aggregate_custom(
-                f"esp[{label}]", cfg, lambda c: EspNuca(c), wl)
+            agg = runner.aggregate_custom(f"esp[{label}]", cfg, "esp-nuca",
+                                          wl)
             values.append(agg.performance / base)
         report.series[label] = _with_gmean(values)
     return report

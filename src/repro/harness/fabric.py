@@ -46,6 +46,7 @@ import os
 import threading
 import time
 from concurrent.futures import Future
+from multiprocessing.reduction import ForkingPickler
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.harness.runcache import RunCache, env_int
@@ -181,13 +182,13 @@ def _worker_main(task_queue, result_queue, runner: Callable[[Any], Any],
         if item is None:
             result_queue.put(("bye", pid, None))
             return
-        job_id, attempt, payload = item
+        job_id, attempt, blob = item
         current.value = job_id
         result_queue.put(("started", job_id, pid))
         _log.debug("fabric job started", fabric_job=job_id,
                    attempt=attempt, worker_pid=pid)
         try:
-            value = runner(payload)
+            value = runner(ForkingPickler.loads(blob))
         except BaseException as exc:  # noqa: BLE001 — report, don't die
             import traceback
 
@@ -202,11 +203,12 @@ def _worker_main(task_queue, result_queue, runner: Callable[[Any], Any],
 
 
 class _Job:
-    __slots__ = ("id", "payload", "future", "attempt", "pid")
+    __slots__ = ("id", "blob", "future", "attempt", "pid")
 
-    def __init__(self, job_id: int, payload: Any) -> None:
+    def __init__(self, job_id: int, blob: bytes) -> None:
         self.id = job_id
-        self.payload = payload
+        #: the pickled payload, sent again as it is on a requeue
+        self.blob = blob
         self.future: Future = Future()
         self.attempt = 0
         self.pid: Optional[int] = None
@@ -267,13 +269,18 @@ class WorkerPool:
     # -- submission ----------------------------------------------------------
 
     def submit(self, payload: Any) -> Future:
+        """Queue one job. The payload is pickled here, so one that
+        cannot be pickled raises in the caller and registers no job
+        (pickled by the queue's feeder thread instead, the error would
+        be lost and the job's future never resolved)."""
+        blob = bytes(ForkingPickler.dumps(payload))
         with self._lock:
             if self._closed:
                 raise RuntimeError("worker pool is closed")
-            job = _Job(next(self._job_seq), payload)
+            job = _Job(next(self._job_seq), blob)
             self._jobs[job.id] = job
             self.dispatched += 1
-        self._tasks.put((job.id, job.attempt, payload))
+        self._tasks.put((job.id, job.attempt, blob))
         return job.future
 
     def run_batch(self, payloads: List[Any]) -> List[Tuple[Any, int]]:
@@ -433,7 +440,7 @@ class WorkerPool:
                                     {"job": job.id, "attempt": job.attempt})
                 _log.warning("fabric job requeued", fabric_job=job.id,
                              attempt=job.attempt, pool=self.name)
-                self._tasks.put((job.id, job.attempt, job.payload))
+                self._tasks.put((job.id, job.attempt, job.blob))
             for job in fail:
                 if not job.future.done():
                     job.future.set_exception(

@@ -52,9 +52,10 @@ revalidated against each file's ``stat`` signature on every read (see
 :meth:`RunCache.put` memoizes what it wrote, so the first read of a
 fresh entry in the writing process is such a hit too.
 
-Custom (non-registry) architectures are cached under their display
-name; as with the in-memory cache, the name must encode the parameters
-(the config is hashed too, but the factory itself cannot be).
+A custom point (a registry architecture under a non-default config)
+is cached under its own name; as with the in-memory cache, the name
+must encode the architecture and its parameters (the config is hashed
+too, but the architecture name is not).
 
 Environment knobs: ``REPRO_CACHE=0`` disables the cache entirely,
 ``REPRO_CACHE_DIR`` relocates it (default ``.repro_cache``),

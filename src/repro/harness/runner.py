@@ -27,7 +27,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.config import SystemConfig, scaled_config
 from repro.common.rng import perturbed_seeds
-from repro.harness.executor import Executor, RunPoint, env_int
+from repro.harness.executor import Executor, RunPoint
+from repro.harness.runcache import env_int
 from repro.metrics.performance import AggregateResult
 from repro.sim.engines import ENGINES
 from repro.sim.results import SimResult
@@ -114,11 +115,10 @@ class ExperimentRunner:
                         config=self.config, settings=self.settings,
                         arch=architecture)
 
-    def _custom_point(self, name: str, config: SystemConfig, arch_factory,
+    def _custom_point(self, name: str, config: SystemConfig, arch: str,
                       workload: str, seed: int) -> RunPoint:
         return RunPoint(name=name, workload=workload, seed=seed,
-                        config=config, settings=self.settings,
-                        factory=arch_factory)
+                        config=config, settings=self.settings, arch=arch)
 
     def submit(self, points: Sequence[RunPoint]) -> List[SimResult]:
         """Run a batch of points through the executor, memoizing results.
@@ -163,12 +163,12 @@ class ExperimentRunner:
                                 workloads, self.seeds))
 
     def prefetch_custom(self, specs: Sequence[Tuple[str, SystemConfig,
-                                                    object, str]]) -> None:
+                                                    str, str]]) -> None:
         """Batch custom run points: ``specs`` holds
-        (name, config, arch_factory, workload) tuples, expanded over the
+        (name, config, arch, workload) tuples, expanded over the
         session's seeds."""
-        self.submit([self._custom_point(name, config, factory, wl, seed)
-                     for name, config, factory, wl in specs
+        self.submit([self._custom_point(name, config, arch, wl, seed)
+                     for name, config, arch, wl in specs
                      for seed in self.seeds])
 
     def matrix(self, architectures: Sequence[str], workloads: Sequence[str]
@@ -178,22 +178,17 @@ class ExperimentRunner:
         return {(arch, wl): self.aggregate(arch, wl)
                 for wl in workloads for arch in architectures}
 
-    def run_custom(self, name: str, config: SystemConfig, arch_factory,
+    def run_custom(self, name: str, config: SystemConfig, arch: str,
                    workload: str, seed: int) -> SimResult:
-        """Run a non-registry architecture (parameter ablations).
-
-        ``arch_factory(config)`` builds the architecture; ``name`` keys
-        the cache, so it must encode the parameters. Factories that
-        cannot be pickled still work — the executor simulates them in
-        the parent process.
-        """
-        return self.submit([self._custom_point(name, config, arch_factory,
+        """Run the registry architecture ``arch`` under a non-default
+        ``config`` (parameter ablations). ``name`` keys the caches and
+        labels the result, so it must encode the parameters."""
+        return self.submit([self._custom_point(name, config, arch,
                                                workload, seed)])[0]
 
-    def aggregate_custom(self, name: str, config: SystemConfig, arch_factory,
+    def aggregate_custom(self, name: str, config: SystemConfig, arch: str,
                          workload: str) -> AggregateResult:
-        points = [self._custom_point(name, config, arch_factory,
-                                     workload, seed)
+        points = [self._custom_point(name, config, arch, workload, seed)
                   for seed in self.seeds]
         agg = AggregateResult(name, workload)
         for result in self.submit(points):

@@ -42,28 +42,26 @@ def _set(node, parts: List[str], value):
 
 
 class Sweep:
-    """Sweep one dotted config field across values for one architecture
-    factory, measuring a metric per (value, workload)."""
+    """Sweep one dotted config field across values for one registered
+    architecture, measuring a metric per (value, workload)."""
 
     def __init__(self, runner: ExperimentRunner, field: str,
-                 values: Sequence, arch_factory: Callable,
-                 arch_label: str = "arch",
+                 values: Sequence, arch: str,
                  metric: Callable = lambda agg: agg.performance) -> None:
         self.runner = runner
         self.field = field
         self.values = list(values)
-        self.arch_factory = arch_factory
-        self.arch_label = arch_label
+        self.arch = arch
         self.metric = metric
 
     def _label(self, value) -> str:
-        return f"{self.arch_label}[{self.field}={value}]"
+        return f"{self.arch}[{self.field}={value}]"
 
     def run(self, workloads: Sequence[str],
             baseline_arch: str = "shared") -> ExperimentReport:
         report = ExperimentReport(
             experiment=f"sweep:{self.field}",
-            title=f"{self.arch_label} vs {self.field} "
+            title=f"{self.arch} vs {self.field} "
                   f"(metric normalized to {baseline_arch})",
             columns=list(workloads))
         # One batch for the whole grid: the executor parallelizes the
@@ -73,26 +71,23 @@ class Sweep:
                    for value in self.values}
         self.runner.prefetch([baseline_arch], workloads)
         self.runner.prefetch_custom(
-            [(self._label(value), config, self.arch_factory, workload)
+            [(self._label(value), config, self.arch, workload)
              for value, config in configs.items() for workload in workloads])
-        for value in self.values:
-            config = configs[value]
+        for value, config in configs.items():
             row = []
             for workload in workloads:
                 base = self.metric(
                     self.runner.aggregate(baseline_arch, workload))
                 agg = self.runner.aggregate_custom(
-                    self._label(value), config,
-                    self.arch_factory, workload)
+                    self._label(value), config, self.arch, workload)
                 row.append(self.metric(agg) / base)
             report.series[f"{self.field}={value}"] = row
         return report
 
 
 def quick_sweep(field: str, values: Sequence, workloads: Sequence[str],
-                arch_factory: Callable, arch_label: str = "arch",
-                runner: ExperimentRunner = None) -> ExperimentReport:
+                arch: str, runner: ExperimentRunner = None
+                ) -> ExperimentReport:
     """One-call convenience wrapper used by examples and benches."""
     runner = runner or ExperimentRunner()
-    sweep = Sweep(runner, field, values, arch_factory, arch_label)
-    return sweep.run(workloads)
+    return Sweep(runner, field, values, arch).run(workloads)

@@ -9,9 +9,10 @@ completion — the standard trace-driven approximation for memory-system
 studies (DESIGN.md §6.1).
 
 This engine is the repository's differential oracle (docs/engine.md):
-the default :class:`~repro.sim.vector.engine.VectorizedEngine` batches
-contention-free runs but must reproduce this engine's results byte for
-byte (``tests/test_engine_equivalence.py``). Keep this loop boring —
+the default :class:`~repro.sim.vector.engine.VectorizedEngine` serves
+each core's references in per-core bursts, in this engine's order, and
+must reproduce its results byte for byte
+(``tests/test_engine_equivalence.py``). Keep this loop boring —
 its auditability is what the equivalence claims bottom out in; speed
 work belongs in the vectorized engine or on the shared
 ``CmpSystem.access`` path.

@@ -7,10 +7,9 @@ import os
 import pytest
 
 from repro.common.config import scaled_config
-from repro.core.esp_nuca import EspNuca
-from repro.harness.executor import Executor, RunPoint, default_jobs, env_int
-from repro.harness.runcache import (RunCache, cache_key, payload_to_result,
-                                    result_to_payload)
+from repro.harness.executor import Executor, RunPoint, default_jobs
+from repro.harness.runcache import (RunCache, cache_key, env_int,
+                                    payload_to_result, result_to_payload)
 from repro.harness.runcache import main as cache_main
 from repro.harness.runner import ExperimentRunner, RunSettings
 
@@ -46,14 +45,24 @@ class TestParallelEqualsSerial:
                     b = parallel.run_one(arch, wl, seed)
                     assert a == b, (arch, wl, seed)
 
-    def test_unpicklable_factory_falls_back_in_parent(self, serial_grid,
-                                                      tmp_path):
+    def test_custom_config_points_reach_the_pool(self, tmp_path):
+        # A variant is a registry name plus a config, so its points are
+        # dispatched to the fabric like any other and equal a serial run.
+        config = dataclasses.replace(
+            scaled_config(8), esp=dataclasses.replace(
+                scaled_config(8).esp, degradation_shift=1))
         runner = make_runner(tmp_path / "cache", 2)
-        agg = runner.aggregate_custom("esp[lambda]", runner.config,
-                                      lambda c: EspNuca(c), "apache")
-        reference = make_runner(None, 1).aggregate("esp-nuca", "apache")
-        assert [r.cycles for r in agg.runs] == \
-            [r.cycles for r in reference.runs]
+        try:
+            agg = runner.aggregate_custom("esp[d=1]", config, "esp-nuca",
+                                          "apache")
+            assert runner.executor.fabric_summary()["dispatched"] >= 1
+        finally:
+            runner.executor.close()
+        serial = make_runner(None, 1).aggregate_custom(
+            "esp[d=1]", config, "esp-nuca", "apache")
+        assert [r.to_dict() for r in agg.runs] == \
+            [r.to_dict() for r in serial.runs]
+        assert {r.architecture for r in agg.runs} == {"esp[d=1]"}
 
     def test_jobs_env_fallback(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "1")

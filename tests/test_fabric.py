@@ -21,7 +21,9 @@ Pins the tentpole contract of the process-based execution substrate:
 import glob
 import hashlib
 import os
+import pickle
 import signal
+import threading
 import time
 
 import pytest
@@ -216,6 +218,36 @@ class TestWorkerPool:
             assert pool.stats()["requeued"] == 1  # once, not twice
         finally:
             pool.close()
+
+    def test_unpicklable_payload_raises_in_the_caller(self):
+        """A payload the task queue cannot pickle fails its submit at
+        once and registers no job; the pool still serves the next
+        batch. (Pickled by the queue's feeder thread, the error was lost
+        and ``run_batch`` waited forever, so the wait here is bounded.)"""
+        pool = WorkerPool(1, runner=echo_runner)
+        outcome = {}
+
+        def submit():
+            try:
+                pool.run_batch([{"value": 1, "fn": lambda: 0}])
+            except Exception as exc:  # noqa: BLE001 — inspected below
+                outcome["error"] = exc
+
+        thread = threading.Thread(target=submit, daemon=True)
+        try:
+            thread.start()
+            thread.join(timeout=10)
+            assert not thread.is_alive(), \
+                "run_batch still waits on an unpicklable payload"
+            assert isinstance(outcome.get("error"),
+                              (pickle.PicklingError, AttributeError))
+            assert pool.stats()["dispatched"] == 0
+            assert pool.busy == 0
+            (value, _), = pool.run_batch([{"value": 2}])
+            assert value["value"] == 4
+        finally:
+            pool.close()  # fails a pending future, releasing the thread
+            thread.join(timeout=10)
 
     def test_close_is_idempotent_and_rejects_new_work(self):
         pool = WorkerPool(1, runner=echo_runner)

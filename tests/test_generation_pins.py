@@ -3,7 +3,8 @@
 ``tests/generation_pins.json`` holds sha256 digests of every registered
 workload's materialized traces (small budget, two seeds) and of
 ``SimResult.to_dict()`` for a quick point of every registered
-architecture under both engines, recorded by
+architecture under both engines (plus, in a ``custom`` section, two
+ablation variants run as a registry name plus a config), recorded by
 ``tools/pin_generation.py --record``. A change that alters any of them
 must bump ``CACHE_VERSION`` (so stale run-cache entries stop answering)
 and re-record; otherwise it is a bug.

@@ -33,14 +33,12 @@ class TestRunner:
         assert agg.performance > 0
 
     def test_custom_runs_cached_by_name(self, runner):
-        from repro.core.esp_nuca import EspNuca
-        a = runner.run_custom("esp[x]", runner.config,
-                              lambda c: EspNuca(c), "apache",
+        a = runner.run_custom("esp[x]", runner.config, "esp-nuca", "apache",
                               runner.seeds[0])
-        b = runner.run_custom("esp[x]", runner.config,
-                              lambda c: EspNuca(c), "apache",
+        b = runner.run_custom("esp[x]", runner.config, "esp-nuca", "apache",
                               runner.seeds[0])
         assert a is b
+        assert a.architecture == "esp[x]"
 
     def test_settings_quick(self):
         quick = RunSettings().quick()

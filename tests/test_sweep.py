@@ -34,15 +34,13 @@ class TestSetConfigField:
 
 class TestSweepRun:
     def test_sweep_produces_one_series_per_value(self):
-        from repro.core.esp_nuca import EspNuca
-
         runner = ExperimentRunner(RunSettings(
             capacity_factor=8, refs_per_core=400,
             warmup_refs_per_core=100, num_seeds=1))
-        sweep = Sweep(runner, "esp.degradation_shift", [3, 5],
-                      lambda cfg: EspNuca(cfg), arch_label="esp")
+        sweep = Sweep(runner, "esp.degradation_shift", [3, 5], "esp-nuca")
         report = sweep.run(["gzip-4"])
         assert set(report.series) == {"esp.degradation_shift=3",
                                       "esp.degradation_shift=5"}
+        assert report.title.startswith("esp-nuca vs esp.degradation_shift")
         for values in report.series.values():
             assert len(values) == 1 and values[0] > 0

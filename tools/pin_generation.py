@@ -9,7 +9,10 @@ something else. This tool records sha256 digests of
 * the materialized traces of every registered workload at a small
   budget, for two seeds, and
 * ``SimResult.to_dict()`` of a quick point per registered
-  architecture and pinned workload under both engines,
+  architecture and pinned workload under both engines, and
+* the same digest for two non-default configurations (Section 5.2
+  ablation variants, run as a registry architecture plus a config,
+  labelled by their own name) in a section of their own,
 
 into ``tests/generation_pins.json`` under the current ``CACHE_VERSION``,
 and checks the code against them (``tests/test_generation_pins.py``
@@ -40,6 +43,7 @@ from repro.harness.executor import (RunPoint, materialize_traces,  # noqa: E402
                                     simulate_point)
 from repro.harness.runcache import CACHE_VERSION  # noqa: E402
 from repro.harness.runner import RunSettings  # noqa: E402
+from repro.harness.sweep import set_config_field  # noqa: E402
 from repro.sim.engines import ENGINES  # noqa: E402
 from repro.workloads.registry import WORKLOADS  # noqa: E402
 
@@ -55,6 +59,13 @@ RESULT_REFS, RESULT_WARMUP = 300, 100
 RESULT_ARCHS = tuple(architecture_names())
 RESULT_WORKLOADS = ("oltp", "art-4")
 RESULT_SEED = 1
+#: Non-default configurations: name -> (dotted config field, value),
+#: each run as ``CUSTOM_ARCH`` on ``CUSTOM_WORKLOAD``. Kept apart from
+#: ``results``, which holds one pin set per registered architecture.
+CUSTOM_ARCH = "esp-nuca"
+CUSTOM_POINTS = {"esp[d=1]": ("esp.degradation_shift", 1),
+                 "esp[conv-sets=1]": ("esp.conventional_sample_sets", 1)}
+CUSTOM_WORKLOAD = "oltp"
 
 
 def _sha256(text: str) -> str:
@@ -86,28 +97,50 @@ def trace_digests() -> dict:
             for workload in WORKLOADS for seed in TRACE_SEEDS}
 
 
+def _result_settings(engine: str) -> RunSettings:
+    return RunSettings(capacity_factor=CAPACITY_FACTOR,
+                       refs_per_core=RESULT_REFS,
+                       warmup_refs_per_core=RESULT_WARMUP, engine=engine)
+
+
+def _result_digest(point: RunPoint) -> str:
+    return _sha256(json.dumps(simulate_point(point).to_dict(),
+                              sort_keys=True))
+
+
 def result_digests() -> dict:
     config = scaled_config(CAPACITY_FACTOR)
     out = {}
     for engine in ENGINES:
-        settings = RunSettings(capacity_factor=CAPACITY_FACTOR,
-                               refs_per_core=RESULT_REFS,
-                               warmup_refs_per_core=RESULT_WARMUP,
-                               engine=engine)
+        settings = _result_settings(engine)
         for arch in RESULT_ARCHS:
             for workload in RESULT_WORKLOADS:
-                result = simulate_point(RunPoint(
-                    name=arch, workload=workload, seed=RESULT_SEED,
-                    config=config, settings=settings, arch=arch))
-                out[f"{arch}/{workload}/s{RESULT_SEED}/{engine}"] = _sha256(
-                    json.dumps(result.to_dict(), sort_keys=True))
+                out[f"{arch}/{workload}/s{RESULT_SEED}/{engine}"] = \
+                    _result_digest(RunPoint(
+                        name=arch, workload=workload, seed=RESULT_SEED,
+                        config=config, settings=settings, arch=arch))
+    return out
+
+
+def custom_digests() -> dict:
+    base = scaled_config(CAPACITY_FACTOR)
+    out = {}
+    for engine in ENGINES:
+        settings = _result_settings(engine)
+        for name, (field, value) in CUSTOM_POINTS.items():
+            out[f"{name}/{CUSTOM_WORKLOAD}/s{RESULT_SEED}/{engine}"] = \
+                _result_digest(RunPoint(
+                    name=name, workload=CUSTOM_WORKLOAD, seed=RESULT_SEED,
+                    config=set_config_field(base, field, value),
+                    settings=settings, arch=CUSTOM_ARCH))
     return out
 
 
 def current_pins() -> dict:
     return {"cache_version": CACHE_VERSION,
             "traces": trace_digests(),
-            "results": result_digests()}
+            "results": result_digests(),
+            "custom": custom_digests()}
 
 
 def load_pins(path: str = PINS_PATH) -> dict:
@@ -127,7 +160,7 @@ def check(path: str = PINS_PATH) -> list:
                 f"{CACHE_VERSION}: {rerecord}"]
     now = current_pins()
     problems = []
-    for section in ("traces", "results"):
+    for section in ("traces", "results", "custom"):
         recorded, current = pins.get(section, {}), now[section]
         for name in sorted(set(recorded) | set(current)):
             if recorded.get(name) != current.get(name):
@@ -165,8 +198,9 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     if args.record:
         pins = record()
-        print(f"recorded {len(pins['traces'])} trace and "
-              f"{len(pins['results'])} result digest(s) at CACHE_VERSION "
+        print(f"recorded {len(pins['traces'])} trace, "
+              f"{len(pins['results'])} result and {len(pins['custom'])} "
+              f"custom-config digest(s) at CACHE_VERSION "
               f"{CACHE_VERSION} in {os.path.relpath(PINS_PATH, ROOT)} "
               f"({time.perf_counter() - start:.1f}s)")
         return 0
