@@ -197,12 +197,14 @@ def _fabric_collector(executor: Executor):
 
 
 def _cache_collector(cache):
-    """Run-cache session counters plus on-disk usage (served from the
-    mtime-revalidated shard index — no directory sweep per scrape)."""
+    """Run-cache session counters, memo occupancy, and on-disk usage
+    (served from the mtime-revalidated shard index — no directory sweep
+    per scrape)."""
 
     def collect() -> Iterator[Tuple]:
         yield ("cache_hits_total", "counter",
-               "run-cache lookups answered from disk", {}, cache.hits)
+               "run-cache lookups answered from the memo or disk", {},
+               cache.hits)
         yield ("cache_misses_total", "counter",
                "run-cache lookups that missed", {}, cache.misses)
         yield ("cache_writes_total", "counter",
@@ -211,6 +213,11 @@ def _cache_collector(cache):
         yield ("cache_hit_ratio", "gauge",
                "session hit ratio (hits / lookups)", {},
                (cache.hits / lookups) if lookups else 0.0)
+        entries, size = cache.memo_usage()
+        yield ("cache_memo_entries", "gauge",
+               "entries in the in-process memo", {}, entries)
+        yield ("cache_memo_bytes", "gauge",
+               "encoded bytes in the in-process memo", {}, size)
         if cache.enabled:
             entries, size = cache.usage()
             yield ("cache_entries", "gauge",

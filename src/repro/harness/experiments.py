@@ -19,7 +19,6 @@ from repro.common.stats import geometric_mean, variance
 from repro.harness.reporting import ExperimentReport, format_table
 from repro.harness.runner import ExperimentRunner
 from repro.metrics.decomposition import COMPONENT_ORDER
-from repro.workloads.registry import workload_names
 
 TRANSACTIONAL = ["apache", "jbb", "oltp", "zeus"]
 NAS = ["BT", "CG", "FT", "IS", "LU", "MG", "SP", "UA"]

@@ -45,11 +45,15 @@ cache without anyone remembering to bump anything; and payloads whose
 key set still fails to match on read are treated as misses
 (:meth:`SimResult.from_dict` returns ``None``) rather than resurrected.
 
-Reads are served through a bounded in-process memo of decoded entries,
+Reads are served through a bounded in-process memo of encoded entries,
 revalidated against each file's ``stat`` signature on every read (see
-:meth:`RunCache._load`), so a repeated hit costs one ``os.stat`` and a
-``marshal`` decode instead of a file read and a JSON parse. A
-:meth:`RunCache.put` memoizes what it wrote, so the first read of a
+:meth:`RunCache._load`). A memo entry holds the payload as two
+``marshal`` blobs: the flat counters, and the ``stats`` registry tree
+that is most of its bytes. A repeated :meth:`RunCache.get` costs one
+``os.stat`` and a decode of the flat blob; the result carries the tree
+still encoded and decodes it only if its caller reads ``stats`` (see
+:mod:`repro.sim.results`). :meth:`RunCache.get_payload` decodes both.
+A :meth:`RunCache.put` memoizes what it wrote, so the first read of a
 fresh entry in the writing process is such a hit too.
 
 A custom point (a registry architecture under a non-default config)
@@ -101,9 +105,9 @@ DEFAULT_SHARDS = 256
 #: overhead outweighs any contention win.
 MAX_SHARDS = 65_536
 
-#: Byte budget of each :class:`RunCache`'s in-process memo of decoded
-#: entries, counted in marshal bytes (5-9 KiB for a scaled-config
-#: result, so a couple of thousand entries).
+#: Byte budget of each :class:`RunCache`'s in-process memo of encoded
+#: entries, counted in marshal bytes of both blobs (5-9 KiB for a
+#: scaled-config result, so a couple of thousand entries).
 MEMO_BYTES = 16 << 20
 
 
@@ -317,8 +321,9 @@ class RunCache:
         self.misses = 0
         self.writes = 0
         self._index: Optional[ShardIndex] = None
-        #: key -> (file signature, marshal bytes of the payload), in
-        #: least-recently-used order; filled by get and by put.
+        #: key -> (file signature, marshal bytes of the payload without
+        #: ``stats``, marshal bytes of ``stats``), in least-recently-used
+        #: order; filled by get and by put.
         self._memo: "OrderedDict[str, tuple]" = OrderedDict()
         self._memo_bytes = 0
         self._memo_lock = threading.Lock()
@@ -371,19 +376,21 @@ class RunCache:
         return os.path.join(self.root, cache_generation(),
                             self.shard_dir(key), f"{key}.json")
 
-    def _load(self, key: str) -> Optional[Dict[str, object]]:
-        """A fresh, schema-validated payload for ``key``, or ``None`` on
-        a miss; counts the hit or miss.
+    def _load(self, key: str) -> Optional[tuple]:
+        """The ``(flat blob, stats blob)`` of a fresh, schema-validated
+        payload for ``key``, or ``None`` on a miss; counts the hit or
+        miss.
 
-        Decoded entries are memoized in-process, each under the
+        Entries are memoized in-process, each under the
         ``(st_ino, st_mtime_ns, st_size)`` signature of the file it was
         read from (or that :meth:`put` wrote), so a repeat hit costs
-        one ``os.stat`` and a ``marshal`` decode. A write to the entry
-        changes or removes the signature (``os.replace`` by any writer
-        brings a new inode, an in-place write a new size or mtime,
-        ``clear()`` removes the file), and the entry is then read and
-        validated again. Every call returns new objects: callers may
-        mutate what they get."""
+        one ``os.stat`` and no decode at all: the callers decode what
+        they need. A write to the entry changes or removes the
+        signature (``os.replace`` by any writer brings a new inode, an
+        in-place write a new size or mtime, ``clear()`` removes the
+        file), and the entry is then read and validated again. The
+        blobs are immutable, so every caller decodes new objects and
+        may mutate what it gets."""
         path = self.entry_path(key)
         try:
             st = os.stat(path)
@@ -396,10 +403,7 @@ class RunCache:
                                                 st.st_size):
                 self._memo.move_to_end(key)
                 self.hits += 1
-            else:
-                memo = None
-        if memo is not None:
-            return marshal.loads(memo[1])
+                return memo[1:]
         try:
             with open(path, encoding="utf-8") as handle:
                 st = os.fstat(handle.fileno())
@@ -412,26 +416,31 @@ class RunCache:
         if payload_to_result(payload) is None:
             self._miss(key)
             return None
-        self._remember(key, (st.st_ino, st.st_mtime_ns, st.st_size),
-                       marshal.dumps(payload))
-        return payload
+        return self._remember(key, (st.st_ino, st.st_mtime_ns, st.st_size),
+                              payload)
 
-    def _remember(self, key: str, signature: tuple, blob: bytes,
-                  hit: bool = True) -> None:
-        """Memoize a payload (counting a hit read from disk, unless it
-        is one :meth:`put` just wrote), evicting least recently used
-        entries to stay within :data:`MEMO_BYTES`."""
+    def _remember(self, key: str, signature: tuple,
+                  payload: Dict[str, object], hit: bool = True) -> tuple:
+        """Split a payload (popping its ``stats``) into its two blobs
+        and memoize them (counting a hit read from disk, unless it is
+        one :meth:`put` just wrote), evicting least recently used
+        entries to stay within :data:`MEMO_BYTES`. Returns the blobs,
+        memoized or not."""
+        stats = payload.pop("stats")
+        blobs = (marshal.dumps(payload), marshal.dumps(stats))
+        size = len(blobs[0]) + len(blobs[1])
         with self._memo_lock:
             if hit:
                 self.hits += 1
             self._discard(key)
-            if len(blob) > MEMO_BYTES:
-                return
-            self._memo[key] = (signature, blob)
-            self._memo_bytes += len(blob)
+            if size > MEMO_BYTES:
+                return blobs
+            self._memo[key] = (signature,) + blobs
+            self._memo_bytes += size
             while self._memo_bytes > MEMO_BYTES:
-                _, (_, evicted) = self._memo.popitem(last=False)
-                self._memo_bytes -= len(evicted)
+                _, (_, flat, tree) = self._memo.popitem(last=False)
+                self._memo_bytes -= len(flat) + len(tree)
+        return blobs
 
     def _miss(self, key: str) -> None:
         """Count a miss and drop any memo of the entry."""
@@ -443,13 +452,19 @@ class RunCache:
         """Drop one memo entry (caller holds the lock)."""
         old = self._memo.pop(key, None)
         if old is not None:
-            self._memo_bytes -= len(old[1])
+            self._memo_bytes -= len(old[1]) + len(old[2])
 
     def get(self, key: str) -> Optional[SimResult]:
+        """The cached result for ``key``, or ``None`` on a miss. Its
+        ``stats`` stay encoded until first read."""
         if not self.enabled:
             return None
-        payload = self._load(key)
-        return None if payload is None else payload_to_result(payload)
+        blobs = self._load(key)
+        if blobs is None:
+            return None
+        payload = marshal.loads(blobs[0])
+        payload["stats"] = blobs[1]
+        return payload_to_result(payload)
 
     def get_payload(self, key: str) -> Optional[Dict[str, object]]:
         """The raw wire payload for a key, schema-validated, or ``None``
@@ -458,10 +473,10 @@ class RunCache:
         was lost (crash between cache write and store commit) re-attaches
         here and still answers byte-identically, because the cache entry
         *is* ``result.to_dict()`` — the same serializer every reply path
-        uses. Counts hits/misses like :meth:`get`."""
-        if not self.enabled:
-            return None
-        return self._load(key)
+        uses. It reads through :meth:`get`, so a traced ``get`` covers
+        every cache read, and ``to_dict`` decodes the ``stats`` blob."""
+        result = self.get(key)
+        return None if result is None else result.to_dict()
 
     def put(self, key: str, result: SimResult) -> None:
         if not self.enabled:
@@ -484,7 +499,7 @@ class RunCache:
         # signature a get() stats until some writer replaces the entry.
         # The memo holds the decoded text, exactly what a read returns.
         self._remember(key, (st.st_ino, st.st_mtime_ns, st.st_size),
-                       marshal.dumps(json.loads(text)), hit=False)
+                       json.loads(text), hit=False)
 
     # -- maintenance (the repro-cache CLI) ----------------------------------
 
@@ -505,6 +520,12 @@ class RunCache:
                 if count:
                     out[shard] = (count, size)
         return out
+
+    def memo_usage(self) -> tuple:
+        """``(entries, bytes)`` of the in-process memo, read under its
+        lock so the pair is consistent."""
+        with self._memo_lock:
+            return len(self._memo), self._memo_bytes
 
     def usage(self) -> tuple:
         """``(entries, bytes)`` of the current generation — cheap

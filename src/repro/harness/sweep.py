@@ -11,7 +11,7 @@ nested) :class:`SystemConfig` dataclasses — ``esp.degradation_shift``,
 from __future__ import annotations
 
 from dataclasses import is_dataclass, replace
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, List, Sequence
 
 from repro.common.config import SystemConfig
 from repro.harness.reporting import ExperimentReport
@@ -83,11 +83,3 @@ class Sweep:
                 row.append(self.metric(agg) / base)
             report.series[f"{self.field}={value}"] = row
         return report
-
-
-def quick_sweep(field: str, values: Sequence, workloads: Sequence[str],
-                arch: str, runner: ExperimentRunner = None
-                ) -> ExperimentReport:
-    """One-call convenience wrapper used by examples and benches."""
-    runner = runner or ExperimentRunner()
-    return Sweep(runner, field, values, arch).run(workloads)

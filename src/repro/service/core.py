@@ -35,7 +35,6 @@ from repro.architectures.registry import architecture_names
 from repro.common.config import CheckConfig, scaled_config
 from repro.common.rng import perturbed_seeds
 from repro.harness.executor import Executor
-from repro.harness.reporting import run_stats_payload
 from repro.harness.runner import RunSettings, grid_points
 from repro.obs import trace as obs
 from repro.obs.logging import get_logger
@@ -353,9 +352,9 @@ class ServiceCore:
         unregistered — the caller just drops it."""
         missing: List[Tuple[str, Any]] = []
         for key, point in unique.items():
-            cached = self.executor.cache.get(key)
+            cached = self.executor.cache.get_payload(key)
             if cached is not None:
-                job.resolve_cached(key, run_stats_payload(cached))
+                job.resolve_cached(key, cached)
                 self.points_cached += 1
             else:
                 missing.append((key, point))

@@ -10,10 +10,18 @@ repo's one result serialization — the persistent run cache stores it,
 the ``esp-nuca stats`` renderer (and its ``--json`` mode) prints it,
 and the simulation service streams it over the wire (see
 docs/service.md).
+
+``stats`` may be held encoded: assigning ``bytes`` (the ``marshal``
+encoding of the tree) defers the decode to the first read of
+``result.stats``. The run cache hands out hits this way, so a caller
+that reads only the flat counters (the runner, every figure) never
+pays to rebuild the tree. Equality, ``repr``, ``to_dict``,
+``dataclasses.replace`` and pickling see the same result either way.
 """
 
 from __future__ import annotations
 
+import marshal
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional
 
@@ -157,6 +165,24 @@ class SimResult:
             return None
         return cls(**kwargs)
 
+
+def _get_stats(self: SimResult) -> Dict[str, object]:
+    stats = self._stats
+    if type(stats) is bytes:
+        stats = self._stats = marshal.loads(stats)
+    return stats
+
+
+def _set_stats(self: SimResult, value) -> None:
+    self._stats = value
+
+
+# Installed after @dataclass, which has already read the field (and
+# removed its class attribute): the generated __init__, __eq__ and
+# __repr__, and replace(), all reach the tree through this property.
+SimResult.stats = property(_get_stats, _set_stats, doc=(
+    "The registry snapshot; a ``bytes`` backing is decoded on first "
+    "read and kept."))
 
 #: The schema :meth:`SimResult.schema_keys` reports, computed once.
 _SCHEMA_KEYS = tuple(sorted(f.name for f in fields(SimResult)))

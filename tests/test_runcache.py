@@ -1,9 +1,13 @@
-"""Run cache keys and the in-process memo of decoded entries: stable
+"""Run cache keys and the in-process memo of encoded entries: stable
 on-disk keys, stat-signature revalidation, fresh objects per get, a
-bounded memo and thread-safe reads."""
+bounded memo, thread-safe reads and hits whose stats decode on first
+read."""
 
+import dataclasses
 import hashlib
 import json
+import marshal
+import pickle
 import sys
 import threading
 
@@ -33,6 +37,12 @@ def make_result(seed, cycles=1000):
         l1_hits=30, l1_misses=10,
         stats={"l2": {"bank0": {"hits": seed, "misses": 2}},
                "noc": {"messages": [1, 2, 3]}})
+
+
+def memo_size(memo):
+    """Bytes a memo entry counts against the budget: both blobs."""
+    _, flat, stats = memo
+    return len(flat) + len(stats)
 
 
 @pytest.fixture
@@ -155,7 +165,7 @@ class TestMemo:
 
     def test_memo_stays_within_budget(self, cache, monkeypatch):
         cache.put(K[0], make_result(0))
-        entry = len(cache._memo[K[0]][1])
+        entry = memo_size(cache._memo[K[0]])
         monkeypatch.setattr(runcache, "MEMO_BYTES", 3 * entry + entry // 2)
         for seed in range(12):
             cache.put(K[seed], make_result(seed))
@@ -167,7 +177,7 @@ class TestMemo:
                 assert cache._memo_bytes <= runcache.MEMO_BYTES
         assert list(cache._memo) == K[9:]  # LRU order
         assert cache._memo_bytes == \
-            sum(len(blob) for _, blob in cache._memo.values())
+            sum(memo_size(memo) for memo in cache._memo.values())
         # An entry larger than the whole budget is served, not memoized.
         monkeypatch.setattr(runcache, "MEMO_BYTES", entry - 1)
         cache.clear()
@@ -214,4 +224,93 @@ class TestMemo:
         # No lost updates: every get counted, memo bytes add up.
         assert (cache.hits, cache.misses) == (8 * 200, 0)
         assert cache._memo_bytes == \
-            sum(len(blob) for _, blob in cache._memo.values())
+            sum(memo_size(memo) for memo in cache._memo.values())
+
+
+class TestLazyStats:
+    @pytest.fixture
+    def loads(self, monkeypatch):
+        """Counts ``marshal.loads`` calls, wherever they are made."""
+        calls = []
+        real = marshal.loads
+
+        def counting(data, *args):
+            calls.append(len(data))
+            return real(data, *args)
+
+        monkeypatch.setattr(marshal, "loads", counting)
+        return calls
+
+    def test_memo_hit_decodes_stats_only_when_read(self, cache, loads):
+        cache.put(K[0], make_result(1))
+        hit = cache.get(K[0])
+        assert len(loads) == 1  # the flat counters only
+        assert hit.cycles == 1000 and hit.performance == 2.0
+        assert len(loads) == 1
+        assert hit.stats == make_result(1).stats
+        assert len(loads) == 2
+        assert hit.stats is hit.stats  # decoded once, then kept
+        assert len(loads) == 2
+        cache.get_payload(K[0])
+        assert len(loads) == 4  # the wire payload decodes both blobs
+
+    def test_lazy_result_equals_the_eager_one(self, cache):
+        eager = make_result(1)
+        cache.put(K[0], eager)
+        assert cache.get(K[0]) == eager
+        assert eager == cache.get(K[0])
+        assert repr(cache.get(K[0])) == repr(eager)
+        assert cache.get(K[0]).to_dict() == eager.to_dict()
+        assert cache.get(K[0]) != make_result(2)  # differs only in stats
+
+    def test_lazy_result_pickles_round_trips_and_replaces(self, cache):
+        eager = make_result(1)
+        cache.put(K[0], eager)
+        assert pickle.loads(pickle.dumps(cache.get(K[0]))) == eager
+        assert SimResult.from_dict(
+            json.loads(json.dumps(cache.get(K[0]).to_dict()))) == eager
+        relabelled = dataclasses.replace(cache.get(K[0]),
+                                         architecture="esp[d=1]")
+        assert relabelled == dataclasses.replace(eager,
+                                                 architecture="esp[d=1]")
+
+    def test_mutated_stats_do_not_leak_into_the_next_hit(self, cache):
+        cache.put(K[0], make_result(1))
+        first = cache.get(K[0])
+        first.stats["l2"]["bank0"]["hits"] = -1
+        first.stats["noc"]["messages"].append(4)
+        second = cache.get(K[0])
+        assert second.stats == make_result(1).stats
+        assert first.stats != second.stats
+        first.stats = {}
+        assert cache.get(K[0]).stats == make_result(1).stats
+
+    def test_wire_payload_keeps_the_to_dict_key_order(self, cache):
+        cache.put(K[0], make_result(1))
+        for reader in (cache, RunCache(root=cache.root)):  # memo, disk
+            payload = reader.get_payload(K[0])
+            assert json.dumps(payload) == json.dumps(make_result(1).to_dict())
+
+    def test_concurrent_first_reads_of_one_hit(self, cache):
+        cache.put(K[0], make_result(1))
+        expected = make_result(1).stats
+        for _ in range(20):
+            shared = cache.get(K[0])
+            seen = []
+
+            def reader():
+                seen.append(shared.stats == expected)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=reader) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert seen == [True] * 8
+            assert shared.stats is shared.stats

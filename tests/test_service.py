@@ -293,10 +293,10 @@ class StubExecutor:
 
     def __init__(self, hits=()):
         self.hits = set(hits)
-        self.cache = self  # its own run cache: ``get`` below
+        self.cache = self  # its own run cache: ``get_payload`` below
 
-    def get(self, key):
-        return StubResult() if key in self.hits else None
+    def get_payload(self, key):
+        return StubResult().to_dict() if key in self.hits else None
 
     def procs_busy(self):
         return 0

@@ -1,4 +1,5 @@
-"""Statistics primitives used by the evaluation harness."""
+"""Statistics primitives used by the evaluation harness, and the
+``esp-nuca stats`` rendering of a run's registry snapshot."""
 
 import math
 
@@ -14,6 +15,9 @@ from repro.common.stats import (
     sample_variance,
     variance,
 )
+from repro.harness import cli, executor
+from repro.harness.reporting import format_run_stats, format_run_stats_json
+from repro.harness.runcache import RunCache
 
 FLOATS = st.floats(min_value=-1e6, max_value=1e6,
                    allow_nan=False, allow_infinity=False)
@@ -101,3 +105,43 @@ class TestRunningStats:
     def test_no_samples_raises(self):
         with pytest.raises(ValueError):
             _ = RunningStats().mean
+
+
+class TestRunStatsFromCache:
+    """A cache hit carries its ``stats`` tree encoded until first read;
+    ``esp-nuca stats`` must render it exactly as a fresh result."""
+
+    ARGS = ["stats", "--arch", "esp-nuca", "--workload", "apache",
+            "--seeds", "1", "--refs", "300", "--warmup", "100"]
+
+    def test_text_and_json_of_a_cached_result_match_a_fresh_one(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        simulated = []
+        real = executor.simulate_point
+        monkeypatch.setattr(executor, "simulate_point",
+                            lambda point: simulated.append(point) or
+                            real(point))
+        assert cli.main(self.ARGS) == 0  # simulates and fills the cache
+        capsys.readouterr()
+        out = {}
+        for mode, flags in (("fresh", ["--no-cache"]), ("cached", [])):
+            for extra in ([], ["--json"]):
+                assert cli.main(self.ARGS + flags + extra) == 0
+                out[mode, bool(extra)] = capsys.readouterr().out
+        assert len(simulated) == 3  # the fill and the two --no-cache runs
+        assert RunCache.from_env().stats()["entries"] == 1
+        assert out["cached", False] == out["fresh", False]
+        assert out["cached", True] == out["fresh", True]
+        assert "-- L2 banks --" in out["fresh", False]
+
+    def test_memo_hit_renders_like_the_result_it_stored(self, tmp_path):
+        from tests.test_conservation import run_workload
+
+        _, fresh = run_workload("esp-nuca", refs=300)
+        cache = RunCache(root=str(tmp_path / "cache"))
+        cache.put("ab" * 32, fresh)
+        hit = cache.get("ab" * 32)
+        assert format_run_stats_json(hit) == format_run_stats_json(fresh)
+        assert format_run_stats(cache.get("ab" * 32)) == \
+            format_run_stats(fresh)

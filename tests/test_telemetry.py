@@ -225,6 +225,8 @@ class TestMetricsEndpoint:
                              "espnuca_fabric_running",
                              "espnuca_cache_hit_ratio",
                              "espnuca_cache_entries",
+                             "espnuca_cache_memo_entries",
+                             "espnuca_cache_memo_bytes",
                              "espnuca_executed_points_total",
                              "espnuca_gateway_http_requests_total",
                              "espnuca_store_results",
@@ -233,6 +235,9 @@ class TestMetricsEndpoint:
                     assert after.value(name) is not None, name
                 assert after.value("espnuca_ready") == 1
                 assert after.value("espnuca_executed_points_total") == 1
+                # the one result written is memoized, both blobs counted
+                assert after.value("espnuca_cache_memo_entries") == 1
+                assert after.value("espnuca_cache_memo_bytes") > 0
                 assert after.value("espnuca_gateway_tenants_requests_total",
                                    tenant="anon") >= 2
                 assert after.value("espnuca_gateway_tenants_admits_total",
