@@ -205,6 +205,9 @@ def _cache_collector(cache):
         yield ("cache_hits_total", "counter",
                "run-cache lookups answered from the memo or disk", {},
                cache.hits)
+        yield ("cache_memo_hits_total", "counter",
+               "run-cache hits answered from the in-process memo (one "
+               "stat, no read)", {}, cache.memo_hits)
         yield ("cache_misses_total", "counter",
                "run-cache lookups that missed", {}, cache.misses)
         yield ("cache_writes_total", "counter",
@@ -217,7 +220,7 @@ def _cache_collector(cache):
         yield ("cache_memo_entries", "gauge",
                "entries in the in-process memo", {}, entries)
         yield ("cache_memo_bytes", "gauge",
-               "encoded bytes in the in-process memo", {}, size)
+               "counted bytes in the in-process memo", {}, size)
         if cache.enabled:
             entries, size = cache.usage()
             yield ("cache_entries", "gauge",

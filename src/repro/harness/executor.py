@@ -33,6 +33,7 @@ so every point of a parallel batch can go to the fabric.
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 from collections import OrderedDict
@@ -78,8 +79,12 @@ class RunPoint:
     settings: "RunSettings"  # noqa: F821 — runner imports this module
     arch: str
 
-    @property
+    @functools.cached_property
     def key(self) -> str:
+        """The point's cache key, hashed once per point object: the
+        instance dict holds it (a frozen dataclass still has one), it
+        pickles with the point, and ``replace`` builds a point without
+        it."""
         return cache_key(self.config, self.settings, self.name,
                          self.workload, self.seed)
 
@@ -223,11 +228,12 @@ class Executor:
                 unique.setdefault(key, point)
             results: Dict[str, SimResult] = {}
             misses: List[Tuple[str, RunPoint]] = []
+            trace_hits = tracer.enabled and tracer.wants("executor")
             for key, point in unique.items():
                 cached = self.cache.get(key)
                 if cached is not None:
                     results[key] = cached
-                    if tracer.enabled and tracer.wants("executor"):
+                    if trace_hits:
                         tracer.instant(
                             "executor", "cache hit", ts=tracer.wall_now(),
                             pid=tracer.wall_pid, tid="executor",

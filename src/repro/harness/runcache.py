@@ -45,14 +45,16 @@ cache without anyone remembering to bump anything; and payloads whose
 key set still fails to match on read are treated as misses
 (:meth:`SimResult.from_dict` returns ``None``) rather than resurrected.
 
-Reads are served through a bounded in-process memo of encoded entries,
+Reads are served through a bounded in-process memo of decoded entries,
 revalidated against each file's ``stat`` signature on every read (see
-:meth:`RunCache._load`). A memo entry holds the payload as two
-``marshal`` blobs: the flat counters, and the ``stats`` registry tree
-that is most of its bytes. A repeated :meth:`RunCache.get` costs one
-``os.stat`` and a decode of the flat blob; the result carries the tree
-still encoded and decodes it only if its caller reads ``stats`` (see
-:mod:`repro.sim.results`). :meth:`RunCache.get_payload` decodes both.
+:meth:`RunCache._load`). A memo entry holds a template
+:class:`~repro.sim.results.SimResult`, built and schema-checked once
+when the entry is read from disk or written, and its ``stats`` registry
+tree (most of its bytes) as one ``marshal`` blob. A repeated
+:meth:`RunCache.get` costs one ``os.stat`` and a shallow copy of the
+template (:meth:`SimResult.clone`); the copy carries the tree still
+encoded and decodes it only if its caller reads ``stats`` (see
+:mod:`repro.sim.results`). :meth:`RunCache.get_payload` decodes it.
 A :meth:`RunCache.put` memoizes what it wrote, so the first read of a
 fresh entry in the writing process is such a hit too.
 
@@ -105,9 +107,13 @@ DEFAULT_SHARDS = 256
 #: overhead outweighs any contention win.
 MAX_SHARDS = 65_536
 
-#: Byte budget of each :class:`RunCache`'s in-process memo of encoded
-#: entries, counted in marshal bytes of both blobs (5-9 KiB for a
-#: scaled-config result, so a couple of thousand entries).
+#: Byte budget of each :class:`RunCache`'s in-process memo, counted per
+#: entry as the ``marshal`` length of the flat counters plus that of the
+#: ``stats`` blob (5-9 KiB for a scaled-config result, so a couple of
+#: thousand entries). The count is a proxy: an entry really holds a
+#: decoded template and the blob, 1.35x its counted bytes by
+#: ``tracemalloc`` over 20 real scaled-config results (8.1 KiB against
+#: 6.0 KiB counted), so a full memo takes about 22 MiB.
 MEMO_BYTES = 16 << 20
 
 
@@ -317,13 +323,19 @@ class RunCache:
         if not 1 <= self.shards <= MAX_SHARDS:
             raise ValueError(f"shards must be in [1, {MAX_SHARDS}], "
                              f"got {self.shards}")
+        #: ``os.path.join(root, generation)`` and the shard name width,
+        #: fixed for the cache's life, so a path is one format.
+        self._generation_root = os.path.join(self.root, cache_generation())
+        self._shard_chars = shard_chars(self.shards)
         self.hits = 0
+        #: The hits answered from the memo (one ``os.stat``, no read).
+        self.memo_hits = 0
         self.misses = 0
         self.writes = 0
         self._index: Optional[ShardIndex] = None
-        #: key -> (file signature, marshal bytes of the payload without
-        #: ``stats``, marshal bytes of ``stats``), in least-recently-used
-        #: order; filled by get and by put.
+        #: key -> (file signature, template ``SimResult``, marshal bytes
+        #: of ``stats``, counted bytes), in least-recently-used order;
+        #: filled by get and by put.
         self._memo: "OrderedDict[str, tuple]" = OrderedDict()
         self._memo_bytes = 0
         self._memo_lock = threading.Lock()
@@ -352,8 +364,7 @@ class RunCache:
     def index(self) -> ShardIndex:
         """The generation's read-through :class:`ShardIndex` (lazy)."""
         if self._index is None:
-            self._index = ShardIndex(
-                os.path.join(self.root, cache_generation()))
+            self._index = ShardIndex(self._generation_root)
         return self._index
 
     def probably_has(self, key: str) -> bool:
@@ -367,30 +378,33 @@ class RunCache:
     # -- layout --------------------------------------------------------------
 
     def shard_dir(self, key: str) -> str:
-        """The shard directory name a key lives under."""
-        return shard_name(shard_of(key, self.shards), self.shards)
+        """The shard directory name a key lives under: ``shard_name(
+        shard_of(key, shards), shards)``, with the width computed once."""
+        width = self._shard_chars
+        return f"{int(key[:width], 16) % self.shards:0{width}x}"
 
     def entry_path(self, key: str) -> str:
         """Where a key's payload lives on disk (whether or not it
-        exists) — the current generation's shard of the key."""
-        return os.path.join(self.root, cache_generation(),
-                            self.shard_dir(key), f"{key}.json")
+        exists) — the current generation's shard of the key; the string
+        ``os.path.join(root, generation, shard, key + ".json")`` gives."""
+        return f"{self._generation_root}{os.sep}{self.shard_dir(key)}" \
+            f"{os.sep}{key}.json"
 
     def _load(self, key: str) -> Optional[tuple]:
-        """The ``(flat blob, stats blob)`` of a fresh, schema-validated
-        payload for ``key``, or ``None`` on a miss; counts the hit or
-        miss.
+        """The memo entry ``(signature, template, stats blob, counted
+        bytes)`` of a fresh, schema-validated payload for ``key``, or
+        ``None`` on a miss; counts the hit or miss.
 
         Entries are memoized in-process, each under the
         ``(st_ino, st_mtime_ns, st_size)`` signature of the file it was
         read from (or that :meth:`put` wrote), so a repeat hit costs
-        one ``os.stat`` and no decode at all: the callers decode what
-        they need. A write to the entry changes or removes the
-        signature (``os.replace`` by any writer brings a new inode, an
-        in-place write a new size or mtime, ``clear()`` removes the
-        file), and the entry is then read and validated again. The
-        blobs are immutable, so every caller decodes new objects and
-        may mutate what it gets."""
+        one ``os.stat`` and no decode at all. A write to the entry
+        changes or removes the signature (``os.replace`` by any writer
+        brings a new inode, an in-place write a new size or mtime,
+        ``clear()`` removes the file), and the entry is then read and
+        validated again. The template is never handed out and the blob
+        is immutable: :meth:`get` returns a clone, so every caller gets
+        new containers and may mutate them."""
         path = self.entry_path(key)
         try:
             st = os.stat(path)
@@ -403,7 +417,8 @@ class RunCache:
                                                 st.st_size):
                 self._memo.move_to_end(key)
                 self.hits += 1
-                return memo[1:]
+                self.memo_hits += 1
+                return memo
         try:
             with open(path, encoding="utf-8") as handle:
                 st = os.fstat(handle.fileno())
@@ -413,34 +428,41 @@ class RunCache:
             # racing put()'s atomic rename, a torn write from a crash,
             # garbage on disk) are all the same thing: a miss.
             payload = None
-        if payload_to_result(payload) is None:
+        entry = self._remember(key, (st.st_ino, st.st_mtime_ns, st.st_size),
+                               payload)
+        if entry is None:
             self._miss(key)
-            return None
-        return self._remember(key, (st.st_ino, st.st_mtime_ns, st.st_size),
-                              payload)
+        return entry
 
-    def _remember(self, key: str, signature: tuple,
-                  payload: Dict[str, object], hit: bool = True) -> tuple:
-        """Split a payload (popping its ``stats``) into its two blobs
-        and memoize them (counting a hit read from disk, unless it is
-        one :meth:`put` just wrote), evicting least recently used
-        entries to stay within :data:`MEMO_BYTES`. Returns the blobs,
-        memoized or not."""
-        stats = payload.pop("stats")
-        blobs = (marshal.dumps(payload), marshal.dumps(stats))
-        size = len(blobs[0]) + len(blobs[1])
+    def _remember(self, key: str, signature: tuple, payload: object,
+                  hit: bool = True) -> Optional[tuple]:
+        """Build the memo entry of a decoded payload and memoize it
+        (counting a hit read from disk, unless it is one :meth:`put`
+        just wrote), evicting least recently used entries to stay
+        within :data:`MEMO_BYTES`. Returns the entry, memoized or not,
+        or ``None`` if the payload does not match the current schema.
+
+        The template is the one :meth:`SimResult.from_dict` per entry:
+        building it validates the schema, and rehashes the supplier
+        enums a clone then reuses."""
+        template = SimResult.from_dict(payload)
+        if template is None:
+            return None
+        stats = marshal.dumps(payload.pop("stats"))
+        template.stats = stats  # the decoded tree is not kept
+        size = len(marshal.dumps(payload)) + len(stats)
+        entry = (signature, template, stats, size)
         with self._memo_lock:
             if hit:
                 self.hits += 1
             self._discard(key)
             if size > MEMO_BYTES:
-                return blobs
-            self._memo[key] = (signature,) + blobs
+                return entry
+            self._memo[key] = entry
             self._memo_bytes += size
             while self._memo_bytes > MEMO_BYTES:
-                _, (_, flat, tree) = self._memo.popitem(last=False)
-                self._memo_bytes -= len(flat) + len(tree)
-        return blobs
+                self._memo_bytes -= self._memo.popitem(last=False)[1][3]
+        return entry
 
     def _miss(self, key: str) -> None:
         """Count a miss and drop any memo of the entry."""
@@ -452,19 +474,18 @@ class RunCache:
         """Drop one memo entry (caller holds the lock)."""
         old = self._memo.pop(key, None)
         if old is not None:
-            self._memo_bytes -= len(old[1]) + len(old[2])
+            self._memo_bytes -= old[3]
 
     def get(self, key: str) -> Optional[SimResult]:
-        """The cached result for ``key``, or ``None`` on a miss. Its
-        ``stats`` stay encoded until first read."""
+        """The cached result for ``key``, or ``None`` on a miss: a
+        clone of the memo's template, whose ``stats`` stay encoded
+        until first read."""
         if not self.enabled:
             return None
-        blobs = self._load(key)
-        if blobs is None:
+        entry = self._load(key)
+        if entry is None:
             return None
-        payload = marshal.loads(blobs[0])
-        payload["stats"] = blobs[1]
-        return payload_to_result(payload)
+        return entry[1].clone(entry[2])
 
     def get_payload(self, key: str) -> Optional[Dict[str, object]]:
         """The raw wire payload for a key, schema-validated, or ``None``
@@ -497,7 +518,8 @@ class RunCache:
             self._index.note(key, self.shard_dir(key))
         # The rename keeps the inode, mtime and size, so this is the
         # signature a get() stats until some writer replaces the entry.
-        # The memo holds the decoded text, exactly what a read returns.
+        # The template is built from the decoded text, exactly what a
+        # read of the file builds.
         self._remember(key, (st.st_ino, st.st_mtime_ns, st.st_size),
                        json.loads(text), hit=False)
 
@@ -509,7 +531,7 @@ class RunCache:
         calls cost one ``os.stat`` per shard (plus one generation-dir
         listing), re-listing only shards whose mtime moved — not a full
         directory sweep per call."""
-        gen_dir = os.path.join(self.root, cache_generation())
+        gen_dir = self._generation_root
         out: Dict[str, tuple] = {}
         if os.path.isdir(gen_dir):
             index = self.index
@@ -585,7 +607,9 @@ class RunCache:
                 "entries": entries, "bytes": size,
                 "per_version": per_version,
                 "shards": shard_summary,
-                "session": {"hits": self.hits, "misses": self.misses,
+                "session": {"hits": self.hits,
+                            "memo_hits": self.memo_hits,
+                            "misses": self.misses,
                             "writes": self.writes}}
 
     def clear(self) -> int:
@@ -618,7 +642,8 @@ def format_stats(stats: Dict[str, object]) -> str:
                      f"{hottest['entries']} entries)")
         lines.append(line)
     session = stats["session"]
-    lines.append(f"  this session: {session['hits']} hit(s), "
+    lines.append(f"  this session: {session['hits']} hit(s) "
+                 f"({session['memo_hits']} from the memo), "
                  f"{session['misses']} miss(es), "
                  f"{session['writes']} write(s)")
     return "\n".join(lines)

@@ -17,12 +17,16 @@ encoding of the tree) defers the decode to the first read of
 that reads only the flat counters (the runner, every figure) never
 pays to rebuild the tree. Equality, ``repr``, ``to_dict``,
 ``dataclasses.replace`` and pickling see the same result either way.
+
+:meth:`SimResult.clone` is how the run cache answers a repeated hit: it
+copies a decoded template's containers and attaches the stats still
+encoded, so a hit rebuilds nothing from bytes but the tree it reads.
 """
 
 from __future__ import annotations
 
 import marshal
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Dict, List, Optional
 
 from repro.sim.request import Supplier
@@ -165,6 +169,26 @@ class SimResult:
             return None
         return cls(**kwargs)
 
+    def clone(self, stats: bytes) -> "SimResult":
+        """A copy of this result whose ``stats`` is ``stats``, the
+        ``marshal`` encoding of the tree, decoded on first read.
+
+        Every other container field is copied one level deep (the
+        per-core lists and supplier dicts hold ints), so the caller may
+        mutate the clone without touching this result. A dict copy
+        reuses the stored key hashes: no ``Supplier`` is hashed again.
+        The stats come from the argument, never from this result's own
+        backing, which a read (a ``repr``, say) may have decoded in
+        place into a dict the clone would then share.
+        """
+        state = self.__dict__.copy()
+        for name in _CONTAINER_FIELDS:
+            state[name] = state[name].copy()
+        state["_stats"] = stats
+        clone = object.__new__(type(self))
+        clone.__dict__ = state
+        return clone
+
 
 def _get_stats(self: SimResult) -> Dict[str, object]:
     stats = self._stats
@@ -187,3 +211,9 @@ SimResult.stats = property(_get_stats, _set_stats, doc=(
 #: The schema :meth:`SimResult.schema_keys` reports, computed once.
 _SCHEMA_KEYS = tuple(sorted(f.name for f in fields(SimResult)))
 _SCHEMA_KEY_SET = frozenset(_SCHEMA_KEYS)
+#: The fields :meth:`SimResult.clone` copies: every field but ``stats``
+#: built by a ``default_factory``, which a dataclass requires of every
+#: list, dict or set default.
+_CONTAINER_FIELDS = tuple(f.name for f in fields(SimResult)
+                          if f.default_factory is not MISSING
+                          and f.name != "stats")

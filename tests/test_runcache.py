@@ -1,12 +1,13 @@
-"""Run cache keys and the in-process memo of encoded entries: stable
-on-disk keys, stat-signature revalidation, fresh objects per get, a
-bounded memo, thread-safe reads and hits whose stats decode on first
-read."""
+"""Run cache keys, paths and the in-process memo of decoded entries:
+stable on-disk keys and layout, stat-signature revalidation, fresh
+objects per get, a bounded memo, thread-safe reads and hits whose stats
+decode on first read."""
 
 import dataclasses
 import hashlib
 import json
 import marshal
+import os
 import pickle
 import sys
 import threading
@@ -14,8 +15,10 @@ import threading
 import pytest
 
 from repro.common.config import SystemConfig, scaled_config
-from repro.harness import runcache
-from repro.harness.runcache import RunCache, cache_generation, cache_key
+from repro.harness import executor, runcache
+from repro.harness.executor import RunPoint
+from repro.harness.runcache import (RunCache, cache_generation, cache_key,
+                                    format_stats, shard_name, shard_of)
 from repro.harness.runner import RunSettings
 from repro.sim.request import Supplier
 from repro.sim.results import SimResult
@@ -40,9 +43,45 @@ def make_result(seed, cycles=1000):
 
 
 def memo_size(memo):
-    """Bytes a memo entry counts against the budget: both blobs."""
-    _, flat, stats = memo
-    return len(flat) + len(stats)
+    """Bytes a memo entry counts against the budget: the ``marshal``
+    length of the flat counters plus that of the stats blob, recomputed
+    here from the template as a JSON payload."""
+    _, template, stats, counted = memo
+    flat = json.loads(json.dumps(template.to_dict()))
+    assert marshal.dumps(flat.pop("stats")) == stats
+    assert counted == len(marshal.dumps(flat)) + len(stats)
+    return counted
+
+
+def mutate_containers(result):
+    """Mutate every list and dict field of ``result`` (found through
+    ``fields``, so a new field is covered), and its decoded stats tree
+    one level down; returns the names mutated."""
+    mutated = set()
+    for f in dataclasses.fields(SimResult):
+        value = getattr(result, f.name)
+        if isinstance(value, list):
+            value.append(-1)
+        elif isinstance(value, dict):
+            for inner in value.values():
+                if isinstance(inner, (list, dict)):
+                    inner.clear()
+            value["mutated"] = -1
+        else:
+            continue
+        mutated.add(f.name)
+    return mutated
+
+
+def oracle_shard_dir(key, shards):
+    """The shard name formula the layout has always had."""
+    return shard_name(shard_of(key, shards), shards)
+
+
+def oracle_entry_path(root, key, shards):
+    """The ``os.path.join`` formula ``entry_path`` has always given."""
+    return os.path.join(root, cache_generation(),
+                        oracle_shard_dir(key, shards), f"{key}.json")
 
 
 @pytest.fixture
@@ -83,6 +122,63 @@ class TestKeys:
             cache_key(scaled_config(8), SETTINGS, "shared", "apache", 2),
         ]
         assert len(set(variants + [base])) == len(variants) + 1
+
+    def test_run_point_key_is_the_cache_key(self, monkeypatch):
+        calls = []
+
+        def counting_key(*args):
+            calls.append(args)
+            return cache_key(*args)
+
+        monkeypatch.setattr(executor, "cache_key", counting_key)
+        point = RunPoint("esp-nuca", "oltp", 1, SystemConfig(), SETTINGS,
+                         arch="esp-nuca")
+        assert point.key == cache_key(SystemConfig(), SETTINGS, "esp-nuca",
+                                      "oltp", 1)
+        assert point.key == point.key
+        assert len(calls) == 1  # hashed once per point, not per lookup
+        other = dataclasses.replace(point, seed=7919)
+        assert other.key == cache_key(SystemConfig(), SETTINGS, "esp-nuca",
+                                      "oltp", 7919)
+        assert other.key != point.key
+
+    def test_run_point_key_survives_a_pickle_round_trip(self):
+        # A fabric payload pickles (key, point) pairs; a worker may read
+        # the point's key again.
+        fresh = RunPoint("shared", "apache", 7919, scaled_config(8),
+                         SETTINGS, arch="shared")
+        hashed = RunPoint("shared", "apache", 7919, scaled_config(8),
+                          SETTINGS, arch="shared")
+        expected = cache_key(scaled_config(8), SETTINGS, "shared", "apache",
+                             7919)
+        assert hashed.key == expected
+        for point in (fresh, hashed):
+            copy = pickle.loads(pickle.dumps(point))
+            assert copy == point
+            assert copy.key == expected
+            assert dataclasses.replace(copy, seed=1).key == cache_key(
+                scaled_config(8), SETTINGS, "shared", "apache", 1)
+
+
+class TestLayout:
+    KEYS = K + ["0" * 64, "f" * 64, "00ff" + "0" * 60, "ffff" + "1" * 60]
+
+    @pytest.mark.parametrize("shards", [1, 15, 16, 256, 4096, 65536])
+    def test_paths_equal_the_join_formula(self, tmp_path, shards):
+        for root in (str(tmp_path / "cache"), str(tmp_path / "cache") + "/",
+                     "relative-cache"):
+            cache = RunCache(root=root, shards=shards)
+            for key in self.KEYS:
+                assert cache.shard_dir(key) == oracle_shard_dir(key, shards)
+                assert cache.entry_path(key) == \
+                    oracle_entry_path(root, key, shards)
+
+    def test_trailing_slash_root_writes_where_it_reads(self, tmp_path):
+        root = str(tmp_path / "cache") + "/"
+        cache = RunCache(root=root)
+        cache.put(K[0], make_result(1))
+        assert os.path.isfile(oracle_entry_path(root.rstrip("/"), K[0], 256))
+        assert RunCache(root=root.rstrip("/")).get(K[0]) == make_result(1)
 
 
 class TestMemo:
@@ -163,6 +259,56 @@ class TestMemo:
         assert cache.get(K[0]) == make_result(1)
         assert cache.get_payload(K[0]) == make_result(1).to_dict()
 
+    def test_every_container_field_of_a_hit_is_its_own(self, cache):
+        cache.put(K[0], make_result(1))
+        disk = RunCache(root=cache.root)
+        for reader in (cache, disk, cache, disk):  # memo, disk, memo...
+            hit = reader.get(K[0])
+            mutated = mutate_containers(hit)
+            assert mutated >= {"per_core_cycles", "per_core_instructions",
+                               "supplier_count", "supplier_cycles",
+                               "stats"}
+            assert hit != make_result(1)
+            assert cache.get(K[0]) == make_result(1)
+            assert disk.get(K[0]) == make_result(1)
+            assert RunCache(root=cache.root).get(K[0]) == make_result(1)
+        assert cache.memo_hits >= 2 and disk.memo_hits >= 2
+
+    def test_decoded_templates_do_not_share_stats(self, cache):
+        for seed in range(3):
+            cache.put(K[seed], make_result(seed))
+        for entry in list(cache._memo.values()):
+            # What printing an entry does (a test failure's report, a
+            # debugger): repr reads the template's stats, decoding its
+            # backing in place.
+            repr(entry)
+            assert entry[1].stats == make_result(entry[1].seed).stats
+        for seed in range(3):
+            first, second = cache.get(K[seed]), cache.get(K[seed])
+            assert type(first._stats) is bytes  # still encoded
+            assert type(second._stats) is bytes
+            assert first.stats is not second.stats
+            mutate_containers(first)
+            assert second.stats == make_result(seed).stats
+            assert cache.get(K[seed]) == make_result(seed)
+            assert cache._memo[K[seed]][1] == make_result(seed)
+
+    def test_memo_hits_are_counted_apart_from_disk_hits(self, cache):
+        cache.put(K[0], make_result(1))
+        cache.get(K[0])
+        cache.get_payload(K[0])
+        other = RunCache(root=cache.root)
+        other.get(K[0])  # from disk
+        other.get(K[0])  # then from its memo
+        assert cache.get(K[1]) is None
+        assert (cache.hits, cache.memo_hits, cache.misses) == (2, 2, 1)
+        assert (other.hits, other.memo_hits, other.misses) == (2, 1, 0)
+        session = other.stats()["session"]
+        assert session == {"hits": 2, "memo_hits": 1, "misses": 0,
+                           "writes": 0}
+        assert "this session: 2 hit(s) (1 from the memo), 0 miss(es), " \
+            "0 write(s)" in format_stats(other.stats())
+
     def test_memo_stays_within_budget(self, cache, monkeypatch):
         cache.put(K[0], make_result(0))
         entry = memo_size(cache._memo[K[0]])
@@ -241,18 +387,38 @@ class TestLazyStats:
         monkeypatch.setattr(marshal, "loads", counting)
         return calls
 
-    def test_memo_hit_decodes_stats_only_when_read(self, cache, loads):
+    def test_memo_hit_decodes_stats_only_when_read(self, cache, loads,
+                                                   monkeypatch):
         cache.put(K[0], make_result(1))
+        stat_calls = []
+        real_stat = os.stat
+
+        def counting_stat(path, *args, **kwargs):
+            stat_calls.append(path)
+            return real_stat(path, *args, **kwargs)
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("a memo hit read or rebuilt the entry")
+
+        monkeypatch.setattr(runcache.os, "stat", counting_stat)
+        monkeypatch.setattr(runcache, "open", forbidden, raising=False)
+        monkeypatch.setattr(runcache.json, "load", forbidden)
+        monkeypatch.setattr(SimResult, "from_dict", classmethod(forbidden))
         hit = cache.get(K[0])
-        assert len(loads) == 1  # the flat counters only
+        assert stat_calls == [cache.entry_path(K[0])]  # one stat, no read
+        assert loads == []  # and no decode at all
         assert hit.cycles == 1000 and hit.performance == 2.0
-        assert len(loads) == 1
+        assert hit.per_core_cycles == [1000] * 8
+        assert hit.supplier_cycles == make_result(1).supplier_cycles
+        assert loads == []
         assert hit.stats == make_result(1).stats
-        assert len(loads) == 2
+        assert len(loads) == 1
         assert hit.stats is hit.stats  # decoded once, then kept
-        assert len(loads) == 2
-        cache.get_payload(K[0])
-        assert len(loads) == 4  # the wire payload decodes both blobs
+        assert len(loads) == 1
+        assert cache.get_payload(K[0]) == make_result(1).to_dict()
+        assert len(loads) == 2  # the wire payload decodes the tree
+        assert len(stat_calls) == 2
+        assert (cache.hits, cache.memo_hits) == (2, 2)
 
     def test_lazy_result_equals_the_eager_one(self, cache):
         eager = make_result(1)

@@ -227,6 +227,7 @@ class TestMetricsEndpoint:
                              "espnuca_cache_entries",
                              "espnuca_cache_memo_entries",
                              "espnuca_cache_memo_bytes",
+                             "espnuca_cache_memo_hits_total",
                              "espnuca_executed_points_total",
                              "espnuca_gateway_http_requests_total",
                              "espnuca_store_results",
@@ -235,9 +236,11 @@ class TestMetricsEndpoint:
                     assert after.value(name) is not None, name
                 assert after.value("espnuca_ready") == 1
                 assert after.value("espnuca_executed_points_total") == 1
-                # the one result written is memoized, both blobs counted
+                # the one result written is memoized, its bytes counted
                 assert after.value("espnuca_cache_memo_entries") == 1
                 assert after.value("espnuca_cache_memo_bytes") > 0
+                # a cold job: its one lookup missed, nothing hit the memo
+                assert after.value("espnuca_cache_memo_hits_total") == 0
                 assert after.value("espnuca_gateway_tenants_requests_total",
                                    tenant="anon") >= 2
                 assert after.value("espnuca_gateway_tenants_admits_total",
