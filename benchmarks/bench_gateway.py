@@ -10,7 +10,10 @@ loopback TCP, SQLite store, run cache on disk):
    simulation itself);
 2. **cache-hit submits** — the same grids again once the cache holds
    every point: the reply is ``state=done`` with full results inline,
-   so this measures the complete answer-from-cache fast path;
+   so this measures the complete answer-from-cache fast path. Every
+   hit reply's results must equal the cold job's, fetched once through
+   ``GET /v1/jobs/{id}/results`` after it finished (outside the timed
+   span);
 3. **store recovery** — a gateway booted against a store holding a
    1k-job ``queued`` backlog (200 with ``--quick``) whose points are
    all cache-resident: wall-clock from process start until every job is
@@ -65,18 +68,18 @@ def latency_stats(samples_s):
 
 def submit_pass(client, seeds, wait):
     """Sequential submits, one per seed; returns per-request latencies
-    and the job ids."""
-    samples, jobs = [], []
+    and the replies."""
+    samples, replies = [], []
     for seed in seeds:
         start = time.perf_counter()
         reply = client.submit(ARCHS, WORKLOADS, seeds=[seed],
                               settings=SETTINGS_WIRE)
         samples.append(time.perf_counter() - start)
-        jobs.append(reply["job"])
+        replies.append(reply)
     if wait:
-        for job in jobs:
-            client.wait(job, timeout=600)
-    return samples, jobs
+        for reply in replies:
+            client.wait(reply["job"], timeout=600)
+    return samples, replies
 
 
 def bench_submits(workdir, seeds):
@@ -92,11 +95,16 @@ def bench_submits(workdir, seeds):
     with GatewayThread(config, executor=executor,
                        settings=SETTINGS) as handle:
         with GatewayClient(handle.base_url) as client:
-            cold, _ = submit_pass(client, seeds, wait=True)
-            hot, jobs = submit_pass(client, seeds, wait=False)
-            sample = client.job(jobs[-1])
-            assert sample["state"] == "done", \
-                "cache-hit submissions should return terminal snapshots"
+            cold, cold_replies = submit_pass(client, seeds, wait=True)
+            want = [client.results(reply["job"])["results"]
+                    for reply in cold_replies]
+            hot, replies = submit_pass(client, seeds, wait=False)
+            for seed, reply, results in zip(seeds, replies, want):
+                assert reply["state"] == "done", \
+                    "cache-hit submissions should return terminal snapshots"
+                assert reply["results"] == results, \
+                    f"cache-hit reply for seed {seed} differs from the " \
+                    f"cold job's results"
     return latency_stats(cold), latency_stats(hot)
 
 

@@ -919,7 +919,7 @@ class Gateway:
         reply["cached"] = job.cached
         results = job.results()
         if results is not None:  # grid served entirely from cache
-            reply["results"] = results
+            reply["results"] = http.Payloads(results)
         await http.send_json(writer, 201, reply,
                              keep_alive=request.keep_alive)
 
@@ -993,19 +993,18 @@ class Gateway:
             snap["errors"] = {"job": row["error"]}
         return snap
 
-    def _stored_results(self, row: Dict[str, Any]
-                        ) -> List[Dict[str, Any]]:
+    def _stored_results(self, row: Dict[str, Any]) -> List[Any]:
         """Result payloads for a stored-terminal job, grid order: the
-        results table first, the run cache as backstop (crash between
-        cache write and store commit)."""
+        results table first (decoded rows), the run cache as backstop
+        (crash between cache write and store commit; its wire text)."""
         points = self.store.job_points(row["id"])
         keys = [p["point_key"] for p in points]
-        payloads = self.store.result_payloads(keys)
+        payloads: Dict[str, Any] = self.store.result_payloads(keys)
         missing = [key for key in dict.fromkeys(keys) if key not in payloads]
         for key in missing:
-            payload = self.core.executor.cache.get_payload(key)
-            if payload is not None:
-                payloads[key] = payload
+            text = self.core.executor.cache.get_wire(key)
+            if text is not None:
+                payloads[key] = text
         still = [key for key in dict.fromkeys(keys) if key not in payloads]
         if still:
             raise http.HttpError(
@@ -1031,7 +1030,8 @@ class Gateway:
                 f"state 'done'")
         await http.send_json(writer, 200,
                              {"job": f"g{row['id']}", "state": state,
-                              "results": results}, keep_alive=keep)
+                              "results": http.Payloads(results)},
+                             keep_alive=keep)
 
     async def _events(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter,
@@ -1051,7 +1051,7 @@ class Gateway:
             end: Dict[str, Any] = {"event": "end", "job": gid,
                                    "state": row["state"], "stored": True}
             if row["state"] == "done":
-                end["results"] = self._stored_results(row)
+                end["results"] = http.Payloads(self._stored_results(row))
             await sse.send(end)
             await sse.end()
             return
@@ -1074,7 +1074,7 @@ class Gateway:
                            "state": job.state}
                     results = job.results()
                     if results is not None:
-                        end["results"] = results
+                        end["results"] = http.Payloads(results)
                     if job.errors:
                         end["errors"] = dict(job.errors)
                     await sse.send(end)

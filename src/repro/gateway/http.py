@@ -20,6 +20,11 @@ connection or an exception escaping to the accept loop —
 
 Error bodies are always ``{"error": {"code", "message"}}`` — the
 gateway's typed reject contract.
+
+Every JSON body and SSE frame goes through one encoder, :func:`encode`:
+``json.dumps(obj, sort_keys=True)``, except that result payloads
+already held as wire JSON text (:class:`Payloads`) are spliced in as
+they are, never decoded and encoded again. The bytes are the same.
 """
 
 from __future__ import annotations
@@ -28,6 +33,8 @@ import asyncio
 import json
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qsl, urlsplit
+
+from repro.harness.reporting import wire_json
 
 MAX_REQUEST_LINE = 8192
 MAX_HEADER_LINE = 8192
@@ -176,6 +183,32 @@ async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
     return Request(method.upper(), split.path or "/", query, headers, body)
 
 
+class Payloads(list):
+    """The result payloads of a reply: each item a payload ``dict`` or
+    its wire JSON text (:func:`~repro.harness.reporting.wire_json`),
+    which :func:`encode` splices in as is. A payload is always a JSON
+    object, so a ``str`` item is never a string value."""
+
+
+def _encode_value(value: Any) -> str:
+    if type(value) is Payloads:
+        return "[" + ", ".join(item if type(item) is str else wire_json(item)
+                               for item in value) + "]"
+    return wire_json(value)
+
+
+def encode(obj: Any) -> str:
+    """The one reply encoder: ``json.dumps(obj, sort_keys=True)``, with
+    the :class:`Payloads` values of a top-level object spliced. The
+    members are joined in sorted key order with the separators
+    ``json.dumps`` uses, so the text is byte for byte what it gives
+    ``obj`` with every payload decoded."""
+    if type(obj) is dict and any(type(v) is Payloads for v in obj.values()):
+        return "{" + ", ".join(f"{wire_json(key)}: {_encode_value(obj[key])}"
+                               for key in sorted(obj)) + "}"
+    return wire_json(obj)
+
+
 def _head(status: int, headers: Dict[str, str]) -> bytes:
     reason = REASONS.get(status, "Unknown")
     lines = [f"HTTP/1.1 {status} {reason}"]
@@ -187,7 +220,7 @@ async def send_json(writer: asyncio.StreamWriter, status: int, obj: Any, *,
                     keep_alive: bool = True,
                     headers: Optional[Dict[str, str]] = None) -> None:
     """One complete JSON response (the non-streaming reply path)."""
-    body = json.dumps(obj, sort_keys=True).encode("utf-8") + b"\n"
+    body = encode(obj).encode("utf-8") + b"\n"
     head = {
         "Content-Type": "application/json",
         "Content-Length": str(len(body)),
@@ -254,8 +287,7 @@ class SseStream:
         await self._writer.drain()
 
     async def send(self, obj: Any) -> None:
-        frame = (b"data: " + json.dumps(obj, sort_keys=True).encode("utf-8")
-                 + b"\n\n")
+        frame = b"data: " + encode(obj).encode("utf-8") + b"\n\n"
         self._writer.write(f"{len(frame):x}\r\n".encode("ascii") + frame
                            + b"\r\n")
         await self._writer.drain()

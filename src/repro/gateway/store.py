@@ -306,19 +306,21 @@ class JobStore:
 
     # -- results -------------------------------------------------------------
 
-    def record_results(self, payloads: Dict[str, Dict[str, Any]]) -> None:
-        """Store result payloads by content hash. Rows are immutable (a
-        key always names the same canonical bytes), so only keys not yet
-        stored are written, and a replay of stored results writes and
+    def record_results(self, texts: Dict[str, str]) -> None:
+        """Store result payloads by content hash, each given as its wire
+        JSON text and stored as the compact :func:`canonical_json` bytes
+        of the payload. Rows are immutable (a key always names the same
+        canonical bytes), so only keys not yet stored are decoded and
+        written, and a replay of stored results decodes, writes and
         commits nothing."""
-        if not payloads:
+        if not texts:
             return
         now = time.time()
         with self._lock:
             stored = {row[0] for row in self._result_rows("point_key",
-                                                          list(payloads))}
-            rows = [(key, canonical_json(payload), now)
-                    for key, payload in payloads.items()
+                                                          list(texts))}
+            rows = [(key, canonical_json(json.loads(text)), now)
+                    for key, text in texts.items()
                     if key not in stored]
             if not rows:
                 return

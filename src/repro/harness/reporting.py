@@ -88,8 +88,21 @@ def run_stats_payload(result) -> Dict[str, object]:
     :meth:`~repro.sim.results.SimResult.to_dict` snapshot (flat counters
     plus the hierarchical ``stats`` registry tree). This is the single
     wire serializer — ``esp-nuca stats --json`` prints it and the
-    simulation service's ``watch``/result streams carry it."""
+    simulation service's ``watch``/result streams carry it, encoded by
+    :func:`wire_json`."""
     return result.to_dict()
+
+
+#: ``json.dumps(obj, sort_keys=True)``'s encoder, built once.
+_WIRE_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
+def wire_json(obj) -> str:
+    """The wire JSON of a payload: ``json.dumps(obj, sort_keys=True)``,
+    the encoding of every gateway reply body. A result's wire JSON is
+    made once (by the run cache's memo, or when its point completes)
+    and spliced as-is into every reply that carries it."""
+    return _WIRE_ENCODER.encode(obj)
 
 
 def format_run_stats_json(result) -> str:

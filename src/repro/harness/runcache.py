@@ -54,7 +54,10 @@ tree (most of its bytes) as one ``marshal`` blob. A repeated
 :meth:`RunCache.get` costs one ``os.stat`` and a shallow copy of the
 template (:meth:`SimResult.clone`); the copy carries the tree still
 encoded and decodes it only if its caller reads ``stats`` (see
-:mod:`repro.sim.results`). :meth:`RunCache.get_payload` decodes it.
+:mod:`repro.sim.results`). :meth:`RunCache.get_wire` returns the
+result's wire JSON text (what every gateway reply splices), built from
+the template on the first request for it, the one decode of the tree,
+and kept in the entry until the entry is replaced.
 A :meth:`RunCache.put` memoizes what it wrote, so the first read of a
 fresh entry in the writing process is such a hit too.
 
@@ -87,6 +90,7 @@ import threading
 from collections import OrderedDict
 from typing import Dict, List, Optional
 
+from repro.harness.reporting import wire_json
 from repro.sim.results import SimResult
 
 #: Bump whenever simulation semantics change (timing model, trace
@@ -110,10 +114,12 @@ MAX_SHARDS = 65_536
 #: Byte budget of each :class:`RunCache`'s in-process memo, counted per
 #: entry as the ``marshal`` length of the flat counters plus that of the
 #: ``stats`` blob (5-9 KiB for a scaled-config result, so a couple of
-#: thousand entries). The count is a proxy: an entry really holds a
-#: decoded template and the blob, 1.35x its counted bytes by
-#: ``tracemalloc`` over 20 real scaled-config results (8.1 KiB against
-#: 6.0 KiB counted), so a full memo takes about 22 MiB.
+#: thousand entries), plus the length of its wire JSON text once
+#: :meth:`RunCache.get_wire` has built it (another 7-13 KiB). The
+#: ``marshal`` count is a proxy: the template and blob really take
+#: 1.35x it by ``tracemalloc`` over 20 real scaled-config results (8.1
+#: KiB against 6.0 KiB counted); the text is an ASCII ``str``, its
+#: length plus a 49-byte header.
 MEMO_BYTES = 16 << 20
 
 
@@ -334,8 +340,9 @@ class RunCache:
         self.writes = 0
         self._index: Optional[ShardIndex] = None
         #: key -> (file signature, template ``SimResult``, marshal bytes
-        #: of ``stats``, counted bytes), in least-recently-used order;
-        #: filled by get and by put.
+        #: of ``stats``, counted bytes, wire JSON text or ``None`` until
+        #: get_wire builds it), in least-recently-used order; filled by
+        #: get and by put.
         self._memo: "OrderedDict[str, tuple]" = OrderedDict()
         self._memo_bytes = 0
         self._memo_lock = threading.Lock()
@@ -392,8 +399,8 @@ class RunCache:
 
     def _load(self, key: str) -> Optional[tuple]:
         """The memo entry ``(signature, template, stats blob, counted
-        bytes)`` of a fresh, schema-validated payload for ``key``, or
-        ``None`` on a miss; counts the hit or miss.
+        bytes, wire text)`` of a fresh, schema-validated payload for
+        ``key``, or ``None`` on a miss; counts the hit or miss.
 
         Entries are memoized in-process, each under the
         ``(st_ino, st_mtime_ns, st_size)`` signature of the file it was
@@ -402,9 +409,10 @@ class RunCache:
         changes or removes the signature (``os.replace`` by any writer
         brings a new inode, an in-place write a new size or mtime,
         ``clear()`` removes the file), and the entry is then read and
-        validated again. The template is never handed out and the blob
-        is immutable: :meth:`get` returns a clone, so every caller gets
-        new containers and may mutate them."""
+        validated again, its wire text unbuilt. The template is never
+        handed out and the blob and text are immutable: :meth:`get`
+        returns a clone, so every caller gets new containers and may
+        mutate them."""
         path = self.entry_path(key)
         try:
             st = os.stat(path)
@@ -451,18 +459,25 @@ class RunCache:
         stats = marshal.dumps(payload.pop("stats"))
         template.stats = stats  # the decoded tree is not kept
         size = len(marshal.dumps(payload)) + len(stats)
-        entry = (signature, template, stats, size)
+        entry = (signature, template, stats, size, None)
         with self._memo_lock:
             if hit:
                 self.hits += 1
             self._discard(key)
-            if size > MEMO_BYTES:
-                return entry
-            self._memo[key] = entry
-            self._memo_bytes += size
-            while self._memo_bytes > MEMO_BYTES:
-                self._memo_bytes -= self._memo.popitem(last=False)[1][3]
+            self._keep(key, entry)
         return entry
+
+    def _keep(self, key: str, entry: tuple) -> None:
+        """Memoize an entry as the most recently used, evicting least
+        recently used ones to stay within :data:`MEMO_BYTES`; an entry
+        larger than the whole budget is not kept (caller holds the lock
+        and has discarded any previous entry of the key)."""
+        if entry[3] > MEMO_BYTES:
+            return
+        self._memo[key] = entry
+        self._memo_bytes += entry[3]
+        while self._memo_bytes > MEMO_BYTES:
+            self._memo_bytes -= self._memo.popitem(last=False)[1][3]
 
     def _miss(self, key: str) -> None:
         """Count a miss and drop any memo of the entry."""
@@ -487,17 +502,43 @@ class RunCache:
             return None
         return entry[1].clone(entry[2])
 
-    def get_payload(self, key: str) -> Optional[Dict[str, object]]:
-        """The raw wire payload for a key, schema-validated, or ``None``
-        on a miss. This is the persistent index behind the gateway's
-        results-by-content-hash store: a completed job whose results row
-        was lost (crash between cache write and store commit) re-attaches
-        here and still answers byte-identically, because the cache entry
-        *is* ``result.to_dict()`` — the same serializer every reply path
-        uses. It reads through :meth:`get`, so a traced ``get`` covers
-        every cache read, and ``to_dict`` decodes the ``stats`` blob."""
+    def get_wire(self, key: str) -> Optional[str]:
+        """The wire JSON text of the result for ``key`` (``wire_json``
+        of its payload, byte for byte what a gateway reply carries), or
+        ``None`` on a miss.
+
+        This is the persistent index behind the gateway's
+        results-by-content-hash store: a cache-hit submit answers with
+        it, and a completed job whose results row was lost (crash
+        between cache write and store commit) re-attaches here. The
+        text is built once per memo entry, on the first request for it
+        (the one decode of the ``stats`` blob and the one encode), and
+        then every call returns the same ``str``, counted in the
+        entry's bytes. It is kept in the entry, under the entry's file
+        signature, so a replaced, rewritten, corrupt or cleared entry
+        never serves a stale text. :meth:`get` and :meth:`put` never
+        build it. It reads through :meth:`get`, so a traced ``get``
+        covers every cache read; the hit's ``stats`` blob is the
+        entry's own object, which ties the hit to its entry."""
         result = self.get(key)
-        return None if result is None else result.to_dict()
+        if result is None:
+            return None
+        with self._memo_lock:
+            entry = self._memo.get(key)
+        if entry is None or entry[2] is not result._stats:
+            # Not memoized (larger than the budget), or replaced since.
+            return wire_json(result.to_dict())
+        text = entry[4]
+        if text is None:
+            text = wire_json(result.to_dict())
+            with self._memo_lock:
+                # Count the text only if the entry is still the memo's:
+                # a concurrent write or eviction may have replaced it.
+                if self._memo.get(key) is entry:
+                    self._discard(key)
+                    self._keep(key, entry[:3] + (entry[3] + len(text),
+                                                 text))
+        return text
 
     def put(self, key: str, result: SimResult) -> None:
         if not self.enabled:

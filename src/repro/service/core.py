@@ -352,7 +352,7 @@ class ServiceCore:
         unregistered — the caller just drops it."""
         missing: List[Tuple[str, Any]] = []
         for key, point in unique.items():
-            cached = self.executor.cache.get_payload(key)
+            cached = self.executor.cache.get_wire(key)
             if cached is not None:
                 job.resolve_cached(key, cached)
                 self.points_cached += 1

@@ -12,6 +12,11 @@ point's payload is the full :meth:`SimResult.to_dict` snapshot —
 including the hierarchical ``stats`` tree — so a watcher sees per-bank /
 per-link / per-policy counters stream in as points finish, in exactly
 the serialization ``esp-nuca stats --json`` prints for a single run.
+A job holds each payload as its wire JSON text
+(:func:`~repro.harness.reporting.wire_json`), encoded once: by the run
+cache's memo for a cache hit (every job that hits one key holds the
+same ``str``), or when the point completes. Replies splice that text,
+so no job keeps a decoded tree.
 
 Snapshots also carry the server's live gauges (injected via
 :attr:`Job.gauges`): queue depth plus **both** worker populations —
@@ -27,7 +32,7 @@ import asyncio
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.harness.reporting import run_stats_payload
+from repro.harness.reporting import run_stats_payload, wire_json
 from repro.service import queue as q
 
 #: Job states (derived from point states).
@@ -60,7 +65,8 @@ class Job:
         self.priority = priority
         self.owner = owner
         self.states: Dict[str, str] = {}
-        self.payloads: Dict[str, Dict[str, Any]] = {}
+        #: key -> the point's result as wire JSON text.
+        self.payloads: Dict[str, str] = {}
         self.errors: Dict[str, str] = {}
         self.coalesced = 0
         self.cached = 0
@@ -86,8 +92,9 @@ class Job:
 
     # -- wiring --------------------------------------------------------------
 
-    def resolve_cached(self, key: str, payload: Dict[str, Any]) -> None:
-        """A key answered from the persistent cache at submit time."""
+    def resolve_cached(self, key: str, payload: str) -> None:
+        """A key answered from the persistent cache at submit time, with
+        the cache's wire JSON text of its result."""
         self.states[key] = P_CACHED
         self.payloads[key] = payload
         self.cached += 1
@@ -117,6 +124,9 @@ class Job:
             self._emit()
 
     def _point_settled(self, key: str, fut: asyncio.Future) -> None:
+        # The task's future holds the decoded result; the job keeps
+        # only its text, and cancel() needs only still-queued tasks.
+        del self._tasks[key]
         if self.states.get(key) == q.CANCELLED:
             # Released by this job's cancel; the task lived on for a
             # coalesced job, and its outcome is not this job's.
@@ -128,7 +138,7 @@ class Job:
             self.errors[key] = str(fut.exception())
         else:
             self.states[key] = q.DONE
-            self.payloads[key] = run_stats_payload(fut.result())
+            self.payloads[key] = wire_json(run_stats_payload(fut.result()))
         self._refresh()
 
     def cancel(self, scheduler: "q.Scheduler") -> None:
@@ -188,9 +198,9 @@ class Job:
             out[self.states[key]] += 1
         return out
 
-    def results(self) -> Optional[List[Dict[str, Any]]]:
-        """Per-point payloads in submission order, or ``None`` until the
-        job completes successfully."""
+    def results(self) -> Optional[List[str]]:
+        """Per-point wire JSON texts in submission order, or ``None``
+        until the job completes successfully."""
         if self.state != J_DONE:
             return None
         return [self.payloads[key] for key in self.order]

@@ -83,6 +83,12 @@ def gateway(db, executor=None, cache_dir=None, **config):
                          settings=QUICK)
 
 
+def wire_texts(payloads):
+    """What a job hands the store: each payload as its wire JSON."""
+    return {key: json.dumps(payload, sort_keys=True)
+            for key, payload in payloads.items()}
+
+
 def mint(db, name, **quotas):
     """Create a tenant in a (closed-afterwards) store; returns the key."""
     with JobStore.open(str(db)) as store:
@@ -250,8 +256,8 @@ class TestStore:
     def test_results_upsert_and_chunked_lookup(self, tmp_path):
         with JobStore.open(str(tmp_path / "r.sqlite")) as store:
             many = {f"key{i}": {"i": i} for i in range(503)}
-            store.record_results(many)
-            store.record_results({"key0": {"i": 0}})  # idempotent upsert
+            store.record_results(wire_texts(many))
+            store.record_results(wire_texts({"key0": {"i": 0}}))  # upsert
             assert store.result_count() == 503
             got = store.result_payloads(list(many) + ["absent"])
             assert got == many  # >500 keys exercises the IN-chunking
@@ -259,7 +265,7 @@ class TestStore:
 
     def test_replayed_results_are_not_rewritten(self, tmp_path):
         with JobStore.open(str(tmp_path / "r.sqlite")) as store:
-            grid = {f"key{i}": {"i": i} for i in range(4)}
+            grid = wire_texts({f"key{i}": {"i": i} for i in range(4)})
             store.record_results(grid)
 
             def created():
@@ -271,7 +277,7 @@ class TestStore:
             store.record_results(grid)  # a cache-hit replay of the grid
             assert store._conn.total_changes == changes
             assert created() == stamps
-            store.record_results({**grid, "key4": {"i": 4}})
+            store.record_results({**grid, **wire_texts({"key4": {"i": 4}})})
             assert store._conn.total_changes == changes + 1
             assert {k: v for k, v in created().items()
                     if k != "key4"} == stamps
@@ -587,6 +593,112 @@ class TestRecovery:
                 assert len(events) == 1
                 assert events[0]["event"] == "end"
                 assert events[0]["stored"] is True
+
+
+# -- wire bytes of every result-carrying route --------------------------------
+
+def old_encoding(obj):
+    """The reply encoder before results were spliced as encoded text:
+    the oracle every result-carrying body must still match."""
+    return json.dumps(obj, sort_keys=True).encode("utf-8") + b"\n"
+
+
+def raw_exchange(handle, method, path, body=None):
+    """One request on its own connection; returns ``(status, body)``
+    with the body bytes as sent (de-chunked for an SSE stream)."""
+    _, host, port = handle.address
+    data = b"" if body is None else json.dumps(body).encode("utf-8")
+    with socket.create_connection((host, port), timeout=120) as sock:
+        sock.sendall(f"{method} {path} HTTP/1.1\r\nHost: x\r\n"
+                     f"Connection: close\r\n"
+                     f"Content-Length: {len(data)}\r\n\r\n".encode("ascii")
+                     + data)
+        raw = b""
+        while True:
+            chunk = sock.recv(1 << 16)
+            if not chunk:
+                break
+            raw += chunk
+    head, _, rest = raw.partition(b"\r\n\r\n")
+    status = int(head.split(b" ")[1])
+    if b"transfer-encoding: chunked" not in head.lower():
+        return status, rest
+    body = b""
+    while True:
+        size, _, rest = rest.partition(b"\r\n")
+        size = int(size, 16)
+        if not size:
+            return status, body
+        body, rest = body + rest[:size], rest[size + 2:]
+
+
+class TestWireBytes:
+    """Every body that carries results is byte for byte what the old
+    encoder gives the decoded reply, whether its payloads were encoded
+    when a point completed, come from the run cache's memo, or mix
+    stored rows with run-cache fallbacks after a restart."""
+
+    GRID = (["shared", "esp-nuca"], ["apache"], [61])
+
+    def _json(self, handle, path, status=200):
+        got, body = raw_exchange(handle, "GET", path)
+        assert got == status
+        reply = json.loads(body)
+        assert body == old_encoding(reply)
+        return reply
+
+    def _end_frame(self, handle, job):
+        status, body = raw_exchange(handle, "GET", f"/v1/jobs/{job}/events")
+        assert status == 200
+        frames = body.split(b"\n\n")
+        assert frames[-1] == b""
+        assert all(frame.startswith(b"data: ") for frame in frames[:-1])
+        text = frames[-2][len(b"data: "):]
+        end = json.loads(text)
+        assert end["event"] == "end"
+        assert text + b"\n" == old_encoding(end)
+        return end
+
+    def _check_routes(self, handle, job, want, stored=False):
+        results = self._json(handle, f"/v1/jobs/{job}/results")
+        assert canonical(results["results"]) == canonical(want)
+        end = self._end_frame(handle, job)
+        assert canonical(end["results"]) == canonical(want)
+        assert end.get("stored", False) is stored
+
+    def test_result_routes_match_the_old_encoder(self, tmp_path):
+        archs, workloads, seeds = self.GRID
+        want = reference_payloads(archs, workloads, seeds)
+        request = {"architectures": archs, "workloads": workloads,
+                   "seeds": seeds, "settings": SETTINGS_WIRE}
+        db, cache_dir = tmp_path / "w.sqlite", tmp_path / "cache"
+        with gateway(db, cache_dir=cache_dir,
+                     allow_anonymous=True) as handle:
+            status, body = raw_exchange(handle, "POST", "/v1/jobs", request)
+            assert status == 201 and body == old_encoding(json.loads(body))
+            cold = json.loads(body)["job"]
+            assert GatewayClient(handle.base_url).wait(cold)["state"] == \
+                "done"
+            self._check_routes(handle, cold, want)  # encoded on completion
+            status, body = raw_exchange(handle, "POST", "/v1/jobs", request)
+            assert status == 201
+            hit = json.loads(body)
+            assert body == old_encoding(hit)  # the cache-hit reply
+            assert (hit["state"], hit["cached"]) == ("done", 2)
+            assert canonical(hit["results"]) == canonical(want)
+            self._check_routes(handle, hit["job"], want)  # memo texts
+        keys = [p.key for p in quick_points(archs, workloads, seeds)]
+        with JobStore.open(str(db)) as store:
+            assert sorted(store.result_payloads(keys)) == sorted(keys)
+            with store._lock:
+                store._conn.execute("DELETE FROM results WHERE point_key = ?",
+                                    (keys[1],))
+                store._conn.commit()
+            assert list(store.result_payloads(keys)) == [keys[0]]
+        with gateway(db, cache_dir=cache_dir,
+                     allow_anonymous=True) as handle:
+            for job in (cold, hit["job"]):  # a stored row + a fallback
+                self._check_routes(handle, job, want, stored=True)
 
 
 # -- hostile and broken HTTP clients ------------------------------------------

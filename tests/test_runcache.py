@@ -42,14 +42,24 @@ def make_result(seed, cycles=1000):
                "noc": {"messages": [1, 2, 3]}})
 
 
+def wire(result):
+    """The old reply encoding of a result, kept here as the oracle."""
+    return json.dumps(result.to_dict(), sort_keys=True)
+
+
 def memo_size(memo):
     """Bytes a memo entry counts against the budget: the ``marshal``
     length of the flat counters plus that of the stats blob, recomputed
-    here from the template as a JSON payload."""
-    _, template, stats, counted = memo
+    here from the template as a JSON payload, plus the length of the
+    wire text once it is built (which must be the template's)."""
+    _, template, stats, counted, text = memo
     flat = json.loads(json.dumps(template.to_dict()))
     assert marshal.dumps(flat.pop("stats")) == stats
-    assert counted == len(marshal.dumps(flat)) + len(stats)
+    built = 0
+    if text is not None:
+        assert text == wire(template)
+        built = len(text)
+    assert counted == len(marshal.dumps(flat)) + len(stats) + built
     return counted
 
 
@@ -191,7 +201,7 @@ class TestMemo:
 
         monkeypatch.setattr(runcache.json, "load", no_parse)
         assert cache.get(K[0]) == first
-        assert cache.get_payload(K[0]) == first.to_dict()
+        assert cache.get_wire(K[0]) == wire(first)
         assert cache.hits == 3
 
     def test_put_writes_the_json_dumps_bytes(self, cache):
@@ -208,24 +218,21 @@ class TestMemo:
 
         monkeypatch.setattr(runcache, "open", no_open, raising=False)
         assert cache.get(K[0]) == make_result(1)
-        assert cache.get_payload(K[0]) == \
-            json.loads(json.dumps(make_result(1).to_dict()))
+        assert cache.get_wire(K[0]) == wire(make_result(1))
         assert (cache.hits, cache.misses, cache.writes) == (2, 0, 1)
 
     def test_entry_replaced_after_put_is_reread(self, cache):
         cache.put(K[0], make_result(1))
         RunCache(root=cache.root).put(K[0], make_result(1, cycles=2000))
         assert cache.get(K[0]) == make_result(1, cycles=2000)
-        assert cache.get_payload(K[0]) == \
-            make_result(1, cycles=2000).to_dict()
+        assert cache.get_wire(K[0]) == wire(make_result(1, cycles=2000))
 
     def test_entry_replaced_by_another_writer(self, cache):
         cache.put(K[0], make_result(1))
         assert cache.get(K[0]) == make_result(1)
         RunCache(root=cache.root).put(K[0], make_result(1, cycles=2000))
         assert cache.get(K[0]) == make_result(1, cycles=2000)
-        assert cache.get_payload(K[0]) == \
-            make_result(1, cycles=2000).to_dict()
+        assert cache.get_wire(K[0]) == wire(make_result(1, cycles=2000))
 
     def test_garbage_written_in_place_is_a_miss(self, cache):
         cache.put(K[0], make_result(1))
@@ -234,7 +241,7 @@ class TestMemo:
             handle.write('{"architecture": "esp-nu')
         misses = cache.misses
         assert cache.get(K[0]) is None
-        assert cache.get_payload(K[0]) is None
+        assert cache.get_wire(K[0]) is None
         assert cache.misses == misses + 2
         assert K[0] not in cache._memo
 
@@ -243,7 +250,7 @@ class TestMemo:
         assert cache.get(K[0]) is not None
         cache.clear()
         assert cache.get(K[0]) is None
-        assert cache.get_payload(K[0]) is None
+        assert cache.get_wire(K[0]) is None
         assert not cache._memo and cache._memo_bytes == 0
 
     def test_every_get_returns_fresh_objects(self, cache):
@@ -253,11 +260,8 @@ class TestMemo:
         first.stats["l2"]["bank0"]["hits"] = -1
         first.stats["noc"]["messages"].clear()
         first.supplier_count[Supplier.OFFCHIP] = -1
-        payload = cache.get_payload(K[0])
-        payload["stats"]["l2"].clear()
-        payload["per_core_cycles"][0] = -1
         assert cache.get(K[0]) == make_result(1)
-        assert cache.get_payload(K[0]) == make_result(1).to_dict()
+        assert cache.get_wire(K[0]) == wire(make_result(1))
 
     def test_every_container_field_of_a_hit_is_its_own(self, cache):
         cache.put(K[0], make_result(1))
@@ -296,7 +300,7 @@ class TestMemo:
     def test_memo_hits_are_counted_apart_from_disk_hits(self, cache):
         cache.put(K[0], make_result(1))
         cache.get(K[0])
-        cache.get_payload(K[0])
+        cache.get_wire(K[0])
         other = RunCache(root=cache.root)
         other.get(K[0])  # from disk
         other.get(K[0])  # then from its memo
@@ -324,6 +328,14 @@ class TestMemo:
         assert list(cache._memo) == K[9:]  # LRU order
         assert cache._memo_bytes == \
             sum(memo_size(memo) for memo in cache._memo.values())
+        # Built wire texts count too, and evict like any growth.
+        for seed in range(9, 12):
+            assert cache.get_wire(K[seed]) == wire(make_result(seed))
+            assert cache._memo_bytes <= runcache.MEMO_BYTES
+        assert K[11] in cache._memo and len(cache._memo) < 3
+        assert cache._memo[K[11]][4] is not None
+        assert cache._memo_bytes == \
+            sum(memo_size(memo) for memo in cache._memo.values())
         # An entry larger than the whole budget is served, not memoized.
         monkeypatch.setattr(runcache, "MEMO_BYTES", entry - 1)
         cache.clear()
@@ -345,6 +357,10 @@ class TestMemo:
                     if got != make_result(seed):
                         errors.append((keys[seed], got))
                     got.stats["l2"].clear()  # must not leak to others
+                    if i % 3 == 0:
+                        text = cache.get_wire(keys[seed])
+                        if text != wire(make_result(seed)):
+                            errors.append((keys[seed], text))
             except Exception as exc:  # noqa: BLE001 — reported below
                 errors.append(exc)
 
@@ -368,9 +384,79 @@ class TestMemo:
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         # No lost updates: every get counted, memo bytes add up.
-        assert (cache.hits, cache.misses) == (8 * 200, 0)
+        assert (cache.hits, cache.misses) == (8 * 200 + 8 * 67, 0)
         assert cache._memo_bytes == \
             sum(memo_size(memo) for memo in cache._memo.values())
+
+
+class TestWireText:
+    """``get_wire``: the reply encoding of a hit, built once per memo
+    entry on first request, counted, and never stale."""
+
+    def test_text_is_the_reply_encoding_and_is_shared(self, cache):
+        cache.put(K[0], make_result(1))
+        text = cache.get_wire(K[0])
+        assert text == wire(make_result(1))
+        assert cache.get_wire(K[0]) is text
+        disk = RunCache(root=cache.root)
+        assert disk.get_wire(K[0]) == text  # built from a disk read
+        assert disk.get_wire(K[0]) is disk.get_wire(K[0])
+        assert cache.get_wire(K[1]) is None
+        assert RunCache(root=cache.root, enabled=False).get_wire(K[0]) \
+            is None
+        assert (cache.hits, cache.memo_hits, cache.misses) == (2, 2, 1)
+
+    def test_text_is_built_on_request_only_and_counted(self, cache):
+        cache.put(K[0], make_result(1))
+        counted = cache._memo_bytes
+        for _ in range(3):
+            cache.get(K[0]).to_dict()
+            assert cache._memo[K[0]][4] is None  # put and get build none
+        assert cache._memo_bytes == counted
+        text = cache.get_wire(K[0])
+        assert cache._memo[K[0]][4] is text
+        assert cache._memo_bytes == counted + len(text)
+        assert memo_size(cache._memo[K[0]]) == cache._memo_bytes
+        assert cache.memo_usage() == (1, counted + len(text))
+        cache.get_wire(K[0])
+        cache.get(K[0])
+        assert cache._memo_bytes == counted + len(text)
+
+    def test_put_of_a_different_result_gives_the_new_text(self, cache):
+        cache.put(K[0], make_result(1))
+        assert cache.get_wire(K[0]) == wire(make_result(1))
+        cache.put(K[0], make_result(1, cycles=2000))
+        assert cache.get_wire(K[0]) == wire(make_result(1, cycles=2000))
+        RunCache(root=cache.root).put(K[0], make_result(2))  # other writer
+        assert cache.get_wire(K[0]) == wire(make_result(2))
+        assert cache._memo_bytes == memo_size(cache._memo[K[0]])
+
+    def test_in_place_rewrite_gives_the_new_text(self, cache):
+        cache.put(K[0], make_result(1))
+        assert cache.get_wire(K[0]) == wire(make_result(1))
+        inode = os.stat(cache.entry_path(K[0])).st_ino
+        rewritten = make_result(1, cycles=20000)  # same inode, new size
+        with open(cache.entry_path(K[0]), "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(rewritten.to_dict()))
+        assert os.stat(cache.entry_path(K[0])).st_ino == inode
+        assert cache.get_wire(K[0]) == wire(rewritten)
+        assert cache._memo_bytes == memo_size(cache._memo[K[0]])
+
+    def test_clear_gives_none(self, cache):
+        cache.put(K[0], make_result(1))
+        assert cache.get_wire(K[0]) is not None
+        cache.clear()
+        assert cache.get_wire(K[0]) is None
+        cache.put(K[0], make_result(3))
+        assert cache.get_wire(K[0]) == wire(make_result(3))
+
+    def test_corrupt_file_gives_none(self, cache):
+        cache.put(K[0], make_result(1))
+        assert cache.get_wire(K[0]) is not None
+        with open(cache.entry_path(K[0]), "w", encoding="utf-8") as handle:
+            handle.write('{"architecture": "esp-nu')
+        assert cache.get_wire(K[0]) is None
+        assert K[0] not in cache._memo and cache._memo_bytes == 0
 
 
 class TestLazyStats:
@@ -415,10 +501,12 @@ class TestLazyStats:
         assert len(loads) == 1
         assert hit.stats is hit.stats  # decoded once, then kept
         assert len(loads) == 1
-        assert cache.get_payload(K[0]) == make_result(1).to_dict()
-        assert len(loads) == 2  # the wire payload decodes the tree
-        assert len(stat_calls) == 2
-        assert (cache.hits, cache.memo_hits) == (2, 2)
+        assert cache.get_wire(K[0]) == wire(make_result(1))
+        assert len(loads) == 2  # the wire text decodes the tree once
+        assert cache.get_wire(K[0]) == wire(make_result(1))
+        assert len(loads) == 2  # and is kept
+        assert len(stat_calls) == 3
+        assert (cache.hits, cache.memo_hits) == (3, 3)
 
     def test_lazy_result_equals_the_eager_one(self, cache):
         eager = make_result(1)
@@ -450,12 +538,6 @@ class TestLazyStats:
         assert first.stats != second.stats
         first.stats = {}
         assert cache.get(K[0]).stats == make_result(1).stats
-
-    def test_wire_payload_keeps_the_to_dict_key_order(self, cache):
-        cache.put(K[0], make_result(1))
-        for reader in (cache, RunCache(root=cache.root)):  # memo, disk
-            payload = reader.get_payload(K[0])
-            assert json.dumps(payload) == json.dumps(make_result(1).to_dict())
 
     def test_concurrent_first_reads_of_one_hit(self, cache):
         cache.put(K[0], make_result(1))

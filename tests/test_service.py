@@ -293,10 +293,11 @@ class StubExecutor:
 
     def __init__(self, hits=()):
         self.hits = set(hits)
-        self.cache = self  # its own run cache: ``get_payload`` below
+        self.cache = self  # its own run cache: ``get_wire`` below
 
-    def get_payload(self, key):
-        return StubResult().to_dict() if key in self.hits else None
+    def get_wire(self, key):
+        return json.dumps(StubResult().to_dict(), sort_keys=True) \
+            if key in self.hits else None
 
     def procs_busy(self):
         return 0
@@ -386,6 +387,76 @@ class TestJobStates:
             assert job.state == "cancelled"
 
         asyncio.run(scenario())
+
+
+class TestEncodedResults:
+    """A job holds each result as wire JSON text, encoded once and
+    shared: never a decoded tree per job."""
+
+    def test_cache_answered_jobs_share_one_text(self, tmp_path):
+        import asyncio
+
+        from repro.service.core import ServiceCore
+        from repro.service.queue import Scheduler
+
+        (key, point), = keyed_points(1)
+        result, = Executor(jobs=1, cache=RunCache(root=str(tmp_path))).run(
+            [point])
+
+        async def two_jobs():
+            core = ServiceCore(
+                Executor(jobs=1, cache=RunCache(root=str(tmp_path))), QUICK,
+                queue_limit=64)
+            core.scheduler = Scheduler(core.queue_limit)
+            jobs = [core_submit(core, owner, [(key, point)], f"j{owner}")
+                    for owner in ("alice", "bob")]
+            return core, jobs
+
+        core, (first, second) = asyncio.run(two_jobs())
+        text = first.payloads[key]
+        assert type(text) is str
+        assert text == json.dumps(result.to_dict(), sort_keys=True)
+        assert second.payloads[key] is text
+        assert first.results()[0] is text and second.results()[0] is text
+        assert core.executor.cache._memo[key][4] is text
+        for job in (first, second):
+            assert all(type(value) is str for value in job.payloads.values())
+
+    def test_cold_point_is_encoded_once_and_spliced(self, sock_dir,
+                                                     monkeypatch):
+        from repro.gateway import http as ghttp
+        from repro.service import progress
+
+        encoded, spliced = [], []
+        wire_json, encode = progress.wire_json, ghttp.encode
+
+        def counting_wire_json(obj):
+            encoded.append(wire_json(obj))
+            return encoded[-1]
+
+        def recording_encode(obj):
+            if type(obj) is dict and "results" in obj:
+                spliced.append(list(obj["results"]))
+            return encode(obj)
+
+        monkeypatch.setattr(progress, "wire_json", counting_wire_json)
+        monkeypatch.setattr(ghttp, "encode", recording_encode)
+        with service(sock_dir, None) as handle:
+            with connect(handle) as client:
+                job = client.submit(["esp-nuca"], ["apache"], seeds=[7],
+                                    settings=SETTINGS_WIRE)["job"]
+                end = finish(client, job)
+                results = client.results(job)["results"]
+                # Nor does the job keep the point's task, whose future
+                # holds the decoded result.
+                assert handle.gateway.core.jobs[job]._tasks == {}
+        assert len(encoded) == 1  # the one point, when it completed
+        assert len(spliced) == 2  # the SSE end frame and /results
+        for items in spliced:
+            assert len(items) == 1 and items[0] is encoded[0]
+        want = reference_payloads(["esp-nuca"], ["apache"], [7])
+        assert canonical(end["results"]) == canonical(results) == \
+            canonical(want)
 
 
 class TestLiveJobViews:
