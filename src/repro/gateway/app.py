@@ -198,8 +198,9 @@ def _fabric_collector(executor: Executor):
 
 def _cache_collector(cache):
     """Run-cache session counters, memo occupancy, and on-disk usage
-    (served from the mtime-revalidated shard index — no directory sweep
-    per scrape)."""
+    (served from the mtime-revalidated shard scans of
+    :class:`~repro.harness.runcache.ShardIndex`: an unchanged shard
+    costs one ``os.stat`` per scrape, no directory listing)."""
 
     def collect() -> Iterator[Tuple]:
         yield ("cache_hits_total", "counter",

@@ -21,12 +21,11 @@ a :class:`WorkerPool` of spawned ``multiprocessing`` workers pulling
   share this one implementation. Results are byte-identical to serial runs
   (``tests/test_fabric.py`` and ``tests/test_executor.py`` pin it);
 * **cross-process cache coalescing** — the default job runner
-  (:func:`run_point_batch`) rebuilds the shard-aware
-  :class:`~repro.harness.runcache.RunCache` inside the worker and does
-  a read-through probe before simulating each point, so a point
-  another process (another worker, another gateway sharing the cache
-  directory) already committed is served from disk instead of being
-  re-simulated.
+  (:func:`run_point_batch`) rebuilds the
+  :class:`~repro.harness.runcache.RunCache` inside the worker and reads
+  through it before simulating each point, so a point another process
+  (another worker, another gateway sharing the cache directory)
+  already committed is served from disk instead of being re-simulated.
 
 Worker count for the service comes from ``REPRO_WORKERS`` (validated
 like every ``REPRO_*`` knob; falls back to ``REPRO_JOBS`` / CPU
@@ -118,20 +117,18 @@ def run_point_batch(payload: Dict[str, Any]) -> List[Any]:
 
     ``payload`` is ``{"points": [(cache_key, RunPoint), ...],
     "cache": RunCache.spec() | None}``. Before simulating each point
-    the worker probes the shard index (read-through): a key committed
-    meanwhile by any other process is answered from disk —
-    cross-process coalescing on content hash. Results are identical
-    either way (cached payloads round-trip exactly), so this is purely
-    a work-avoidance path.
+    the worker reads through :meth:`RunCache.get` (one ``os.stat`` of
+    the entry; a missing file is a miss): a key committed meanwhile by
+    any other process is answered from disk — cross-process coalescing
+    on content hash. Results are identical either way (cached payloads
+    round-trip exactly), so this is purely a work-avoidance path.
     """
     from repro.harness import executor as executor_mod
 
     cache = RunCache.from_spec(payload.get("cache"))
     results = []
     for key, point in payload["points"]:
-        result = None
-        if cache.enabled and cache.probably_has(key):
-            result = cache.get(key)
+        result = cache.get(key)
         cached = result is not None
         if result is None:
             result = executor_mod.simulate_point(point)

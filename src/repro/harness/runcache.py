@@ -19,20 +19,17 @@ Layout on disk (see docs/harness.md and docs/fabric.md)::
 
     .repro_cache/
       v<CACHE_VERSION>-<schema fingerprint>/
-        <shard directory>/
+        <key[:2]>/
           <64-hex-char sha256 key>.json
 
-The shard directory is a first-class **shard map** over the key space:
-``REPRO_CACHE_SHARDS`` (default 256) shards, each a directory named by
-the shard index in hex. The default count reproduces the historical
-``key[:2]`` layout byte-for-byte, so existing caches stay readable.
-Sharding is what makes the cache safe and fast under the multi-process
-worker fabric: every shard is an independent directory (atomic
-``os.replace`` writes never contend across shards), per-shard entry
-counts expose skew, and the :class:`ShardIndex` gives every process a
-cheap read-through view of which keys exist — a worker about to
-simulate a point can discover that another process already committed
-it and serve the bytes from disk instead (cross-process coalescing on
+The layout is fixed: an entry's path is a pure function of its key, so
+every process sharing one cache directory finds every other process's
+entries, and a lookup is one ``os.stat`` of that path. The 256
+two-hex-char shard directories keep each directory small; writes are
+atomic ``os.replace`` renames, so concurrent writers never tear an
+entry. A fabric worker about to simulate a point reads through
+:meth:`RunCache.get` first, so a point another process already
+committed is served from disk instead (cross-process coalescing on
 content hash; see docs/fabric.md).
 
 Invalidation is versioned two ways, both automatic at the schema level:
@@ -67,11 +64,7 @@ must encode the architecture and its parameters (the config is hashed
 too, but the architecture name is not).
 
 Environment knobs: ``REPRO_CACHE=0`` disables the cache entirely,
-``REPRO_CACHE_DIR`` relocates it (default ``.repro_cache``),
-``REPRO_CACHE_SHARDS`` sets the shard count (default 256; validated —
-malformed or non-positive values fail at startup). The shard count is
-a *deployment* knob, not part of the content key: all processes
-sharing one cache directory must agree on it.
+``REPRO_CACHE_DIR`` relocates it (default ``.repro_cache``).
 
 CLI: ``esp-nuca repro-cache stats`` / ``esp-nuca repro-cache clear``
 (also installed standalone as ``repro-cache``).
@@ -101,16 +94,6 @@ CACHE_VERSION = 2
 
 DEFAULT_CACHE_DIR = ".repro_cache"
 
-#: Default shard count; reproduces the historical ``key[:2]`` directory
-#: layout exactly (shard index = first byte of the key, two-hex-char
-#: directory names), so caches written before the shard map existed
-#: stay readable without migration.
-DEFAULT_SHARDS = 256
-
-#: Upper bound on the shard count — beyond this the per-shard directory
-#: overhead outweighs any contention win.
-MAX_SHARDS = 65_536
-
 #: Byte budget of each :class:`RunCache`'s in-process memo, counted per
 #: entry as the ``marshal`` length of the flat counters plus that of the
 #: ``stats`` blob (5-9 KiB for a scaled-config result, so a couple of
@@ -130,7 +113,7 @@ def env_int(name: str, default: int, minimum: int = 0) -> int:
     ``minimum`` raises a :class:`ValueError` naming the variable, so a
     typo in ``REPRO_WORKERS`` fails at startup instead of deep inside
     ``int()``. (Shared by every ``REPRO_*`` integer knob: ``REPRO_JOBS``,
-    ``REPRO_WORKERS``, ``REPRO_CACHE_SHARDS``, ``REPRO_REFS``, ...)
+    ``REPRO_WORKERS``, ``REPRO_REFS``, ...)
     """
     raw = os.environ.get(name)
     if raw is None or raw.strip() == "":
@@ -148,45 +131,11 @@ def env_int(name: str, default: int, minimum: int = 0) -> int:
     return value
 
 
-def default_shards() -> int:
-    """Shard count: ``REPRO_CACHE_SHARDS`` or :data:`DEFAULT_SHARDS`."""
-    shards = env_int("REPRO_CACHE_SHARDS", DEFAULT_SHARDS, minimum=1)
-    if shards > MAX_SHARDS:
-        raise ValueError(f"environment variable REPRO_CACHE_SHARDS must "
-                         f"be <= {MAX_SHARDS}, got {shards}")
-    return shards
-
-
-def shard_chars(shards: int) -> int:
-    """Hex digits of key prefix a shard index is derived from (and the
-    width of the shard directory name). Never below 2, so the default
-    256-shard map names directories exactly ``key[:2]``."""
-    return max(2, len(f"{shards - 1:x}"))
-
-
-def shard_of(key: str, shards: int) -> int:
-    """The shard index of a cache key: leading key hex chars mod the
-    shard count. Deterministic across processes and hosts — the shard
-    map is a pure function of (key, shard count)."""
-    return int(key[:shard_chars(shards)], 16) % shards
-
-
-def shard_name(index: int, shards: int) -> str:
-    """Directory name of a shard index (zero-padded hex)."""
-    return f"{index:0{shard_chars(shards)}x}"
-
-
-#: Short stable hash of the current :class:`SimResult` schema, and the
-#: directory prefix of the current (version, schema) generation. Both
-#: are fixed for the life of the process, so they are computed once.
-_SCHEMA_FINGERPRINT = hashlib.sha256(
-    ",".join(SimResult.schema_keys()).encode("utf-8")).hexdigest()[:8]
-_GENERATION = f"v{CACHE_VERSION}-{_SCHEMA_FINGERPRINT}"
-
-
-def schema_fingerprint() -> str:
-    """Short stable hash of the current :class:`SimResult` schema."""
-    return _SCHEMA_FINGERPRINT
+#: Directory prefix of the current (version, schema) generation: the
+#: version and a short stable hash of the :class:`SimResult` schema.
+#: Both are fixed for the life of the process, so it is computed once.
+_GENERATION = "v{}-{}".format(CACHE_VERSION, hashlib.sha256(
+    ",".join(SimResult.schema_keys()).encode("utf-8")).hexdigest()[:8])
 
 
 def cache_generation() -> str:
@@ -226,119 +175,69 @@ def _cache_key(config, refs_per_core, warmup_refs_per_core, capacity_factor,
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def result_to_payload(result: SimResult) -> Dict[str, object]:
-    """JSON-serializable form of a :class:`SimResult` (exact round-trip)."""
-    return result.to_dict()
-
-
-def payload_to_result(payload: Dict[str, object]) -> Optional[SimResult]:
-    """Rebuild a :class:`SimResult`, or ``None`` if the payload's key
-    set does not match the current schema (stale cache entry)."""
-    return SimResult.from_dict(payload)
-
-
 class ShardIndex:
-    """Read-through index of which keys exist in one cache generation.
+    """``(entries, bytes)`` of each shard directory of one cache
+    generation, for :meth:`RunCache.usage` and :meth:`RunCache.stats`
+    (``repro-cache stats``, the /metrics cache gauges).
 
-    Shared across processes *via the filesystem*: each shard directory
-    is scanned at most once per observed directory mtime, so a
-    ``contains`` probe costs one ``os.stat`` in the steady state and
-    one ``os.listdir`` only after another process committed an entry
-    into that shard (``os.replace`` into a directory bumps its mtime).
-
-    The index is **advisory**: a stale negative merely means a worker
-    re-simulates a point another process just finished (correct, a
-    little wasteful), and every positive is revalidated by the actual
-    :meth:`RunCache.get` payload read — torn or stale reads are
-    impossible. That makes it safe to consult from every worker process
-    of the fabric without any cross-process locking (docs/fabric.md).
+    A shard is rescanned only when its directory mtime moved (an entry
+    written, replaced or removed bumps it), so a repeated read costs one
+    ``os.stat`` per shard. One ``os.scandir`` pass counts the entries
+    and sums their sizes.
     """
 
     def __init__(self, generation_root: str) -> None:
         self.root = generation_root
-        #: shard dir name -> (mtime_ns, frozenset of keys, total bytes)
+        #: shard dir name -> (mtime_ns, entries, total bytes)
         self._scans: Dict[str, tuple] = {}
 
-    def _scan(self, shard: str) -> Optional[tuple]:
-        """The ``(mtime_ns, keys, bytes)`` view of one shard, rescanned
-        only when the directory mtime moved; ``None`` for an absent
-        shard. One ``os.scandir`` pass captures membership *and* sizes,
-        so usage accounting (``repro-cache stats``, the /metrics cache
-        gauges) rides the same revalidation the existence probes use."""
+    def shard_usage(self, shard: str) -> tuple:
+        """``(entries, bytes)`` of one shard; ``(0, 0)`` if absent."""
         path = os.path.join(self.root, shard)
         try:
             stamp = os.stat(path).st_mtime_ns
         except OSError:
             self._scans.pop(shard, None)
-            return None
+            return (0, 0)
         cached = self._scans.get(shard)
         if cached is not None and cached[0] == stamp:
-            return cached
-        keys = []
-        size = 0
+            return cached[1:]
+        count = size = 0
         try:
             with os.scandir(path) as entries:
                 for entry in entries:
                     if not entry.name.endswith(".json"):
                         continue
-                    keys.append(entry.name[:-5])
+                    count += 1
                     try:
                         size += entry.stat().st_size
                     except OSError:
                         pass  # entry replaced mid-scan; next mtime bump
         except OSError:
-            return None
-        scan = (stamp, frozenset(keys), size)
-        self._scans[shard] = scan
-        return scan
-
-    def contains(self, key: str, shard: str) -> bool:
-        scan = self._scan(shard)
-        return scan is not None and key in scan[1]
-
-    def shard_usage(self, shard: str) -> tuple:
-        """``(entry_count, bytes)`` of one shard, from the cached scan."""
-        scan = self._scan(shard)
-        if scan is None:
             return (0, 0)
-        return (len(scan[1]), scan[2])
-
-    def note(self, key: str, shard: str) -> None:
-        """Record a key this process just wrote (keeps the local view
-        warm without a rescan). The byte total goes momentarily stale,
-        but the write bumped the directory mtime, so the next
-        :meth:`_scan` picks up exact sizes again."""
-        cached = self._scans.get(shard)
-        if cached is not None:
-            self._scans[shard] = (cached[0], cached[1] | {key}, cached[2])
+        self._scans[shard] = (stamp, count, size)
+        return (count, size)
 
 
 class RunCache:
     """Filesystem-backed store of run results, safe for concurrent use
     across threads *and* processes (writes are atomic renames; readers
-    of half-written entries see a miss and re-simulate; the shard map
-    keeps directories independent)."""
+    of half-written entries see a miss and re-simulate)."""
 
     def __init__(self, root: Optional[str] = None,
-                 enabled: bool = True,
-                 shards: Optional[int] = None) -> None:
+                 enabled: bool = True) -> None:
         self.root = root or os.environ.get("REPRO_CACHE_DIR") or \
             DEFAULT_CACHE_DIR
         self.enabled = enabled
-        self.shards = shards if shards is not None else default_shards()
-        if not 1 <= self.shards <= MAX_SHARDS:
-            raise ValueError(f"shards must be in [1, {MAX_SHARDS}], "
-                             f"got {self.shards}")
-        #: ``os.path.join(root, generation)`` and the shard name width,
-        #: fixed for the cache's life, so a path is one format.
+        #: ``os.path.join(root, generation)``, fixed for the cache's
+        #: life, so a path is one format.
         self._generation_root = os.path.join(self.root, cache_generation())
-        self._shard_chars = shard_chars(self.shards)
+        self.index = ShardIndex(self._generation_root)
         self.hits = 0
         #: The hits answered from the memo (one ``os.stat``, no read).
         self.memo_hits = 0
         self.misses = 0
         self.writes = 0
-        self._index: Optional[ShardIndex] = None
         #: key -> (file signature, template ``SimResult``, marshal bytes
         #: of ``stats``, counted bytes, wire JSON text or ``None`` until
         #: get_wire builds it), in least-recently-used order; filled by
@@ -359,43 +258,21 @@ class RunCache:
         (``None`` when disabled — workers then skip read-through)."""
         if not self.enabled:
             return None
-        return {"root": self.root, "shards": self.shards}
+        return {"root": self.root}
 
     @classmethod
     def from_spec(cls, spec: Optional[Dict[str, object]]) -> "RunCache":
         if spec is None:
             return cls(enabled=False)
-        return cls(root=str(spec["root"]), shards=int(spec["shards"]))
-
-    @property
-    def index(self) -> ShardIndex:
-        """The generation's read-through :class:`ShardIndex` (lazy)."""
-        if self._index is None:
-            self._index = ShardIndex(self._generation_root)
-        return self._index
-
-    def probably_has(self, key: str) -> bool:
-        """Cheap advisory existence probe through the shard index —
-        false negatives possible (filesystem mtime granularity), false
-        positives resolved by :meth:`get` itself."""
-        if not self.enabled:
-            return False
-        return self.index.contains(key, self.shard_dir(key))
+        return cls(root=str(spec["root"]))
 
     # -- layout --------------------------------------------------------------
 
-    def shard_dir(self, key: str) -> str:
-        """The shard directory name a key lives under: ``shard_name(
-        shard_of(key, shards), shards)``, with the width computed once."""
-        width = self._shard_chars
-        return f"{int(key[:width], 16) % self.shards:0{width}x}"
-
     def entry_path(self, key: str) -> str:
         """Where a key's payload lives on disk (whether or not it
-        exists) — the current generation's shard of the key; the string
-        ``os.path.join(root, generation, shard, key + ".json")`` gives."""
-        return f"{self._generation_root}{os.sep}{self.shard_dir(key)}" \
-            f"{os.sep}{key}.json"
+        exists): the string ``os.path.join(root, generation, key[:2],
+        key + ".json")`` gives."""
+        return f"{self._generation_root}{os.sep}{key[:2]}{os.sep}{key}.json"
 
     def _load(self, key: str) -> Optional[tuple]:
         """The memo entry ``(signature, template, stats blob, counted
@@ -548,15 +425,13 @@ class RunCache:
         tmp = f"{path}.tmp.{os.getpid()}"
         # One pass of the C encoder writes the bytes json.dump would
         # stream through the much slower pure-Python iterencode.
-        text = json.dumps(result_to_payload(result))
+        text = json.dumps(result.to_dict())
         with open(tmp, "w", encoding="utf-8") as handle:
             handle.write(text)
             handle.flush()
             st = os.fstat(handle.fileno())
         os.replace(tmp, path)
         self.writes += 1
-        if self._index is not None:
-            self._index.note(key, self.shard_dir(key))
         # The rename keeps the inode, mtime and size, so this is the
         # signature a get() stats until some writer replaces the entry.
         # The template is built from the decoded text, exactly what a
@@ -594,20 +469,11 @@ class RunCache:
         """``(entries, bytes)`` of the current generation — cheap
         enough for every /metrics scrape (steady state: no re-listing
         at all, just mtime checks)."""
-        entries = size = 0
-        for count, nbytes in self.shard_usage().values():
-            entries += count
-            size += nbytes
-        return entries, size
-
-    def shard_stats(self) -> Dict[str, int]:
-        """Entry count per populated shard of the *current* generation
-        (empty shards are omitted — with 256 shards most are)."""
-        return {shard: count
-                for shard, (count, _) in self.shard_usage().items()}
+        return _totals(self.shard_usage())
 
     def stats(self) -> Dict[str, object]:
         generation = cache_generation()
+        per_shard = self.shard_usage()
         per_version: Dict[str, int] = {}
         entries = 0
         size = 0
@@ -619,7 +485,7 @@ class RunCache:
                 if version == generation:
                     # Current generation: reuse the ShardIndex's
                     # mtime-revalidated scans instead of re-walking.
-                    count, vsize = self.usage()
+                    count, vsize = _totals(per_shard)
                 else:
                     # Stale generations have no live index; they exist
                     # only across schema/version bumps, so walking is
@@ -635,15 +501,11 @@ class RunCache:
                 per_version[version] = count
                 entries += count
                 size += vsize
-        per_shard = self.shard_stats()
-        shard_summary: Dict[str, object] = {
-            "configured": self.shards,
-            "populated": len(per_shard),
-        }
+        shard_summary: Dict[str, object] = {"populated": len(per_shard)}
         if per_shard:
-            hottest = max(per_shard.items(), key=lambda kv: kv[1])
+            hottest = max(per_shard.items(), key=lambda kv: kv[1][0])
             shard_summary["hottest"] = {"shard": hottest[0],
-                                        "entries": hottest[1]}
+                                        "entries": hottest[1][0]}
         return {"root": self.root, "enabled": self.enabled,
                 "entries": entries, "bytes": size,
                 "per_version": per_version,
@@ -664,6 +526,12 @@ class RunCache:
         return removed
 
 
+def _totals(per_shard: Dict[str, tuple]) -> tuple:
+    """``(entries, bytes)`` summed over a :meth:`RunCache.shard_usage`."""
+    return (sum(count for count, _ in per_shard.values()),
+            sum(size for _, size in per_shard.values()))
+
+
 def format_stats(stats: Dict[str, object]) -> str:
     lines = [f"run cache at {stats['root']} "
              f"({'enabled' if stats['enabled'] else 'disabled'})",
@@ -673,15 +541,14 @@ def format_stats(stats: Dict[str, object]) -> str:
         marker = (" (current)" if version == cache_generation()
                   else " (stale)")
         lines.append(f"    {version}: {count} result(s){marker}")
-    shards = stats.get("shards", {})
-    if shards:
-        line = (f"  shard map: {shards['configured']} shard(s), "
-                f"{shards['populated']} populated")
-        hottest = shards.get("hottest")
-        if hottest:
-            line += (f" (hottest {hottest['shard']}: "
-                     f"{hottest['entries']} entries)")
-        lines.append(line)
+    # Two hex digits of key name a shard: 256 of them.
+    shards = stats["shards"]
+    line = f"  shard map: 256 shard(s), {shards['populated']} populated"
+    hottest = shards.get("hottest")
+    if hottest:
+        line += (f" (hottest {hottest['shard']}: "
+                 f"{hottest['entries']} entries)")
+    lines.append(line)
     session = stats["session"]
     lines.append(f"  this session: {session['hits']} hit(s) "
                  f"({session['memo_hits']} from the memo), "

@@ -333,7 +333,6 @@ class ServiceCore:
         ``keys`` are the points' cache keys, in order."""
         if job_id in self.jobs:
             raise ValueError(f"duplicate job id {job_id!r}")
-        self.points_requested += len(points)
         order: List[str] = []
         unique: Dict[str, Any] = {}
         meta: Dict[str, Tuple[str, str, int]] = {}
@@ -355,10 +354,13 @@ class ServiceCore:
             cached = self.executor.cache.get_wire(key)
             if cached is not None:
                 job.resolve_cached(key, cached)
-                self.points_cached += 1
             else:
                 missing.append((key, point))
         tasks, coalesced = self.scheduler.admit(missing, job.priority)
+        # Counted only once admitted: a rejected job (and each retry of
+        # it) leaves every counter as it was.
+        self.points_requested += len(job.order)
+        self.points_cached += job.cached
         job.coalesced = coalesced
         self.points_coalesced += coalesced
         self.points_enqueued += len(missing) - coalesced

@@ -92,10 +92,6 @@ class Scheduler:
         self._inflight: Dict[str, PointTask] = {}
         self._wakeup = asyncio.Event()
         self._closed = False
-        # lifetime counters (served by `status`)
-        self.enqueued_total = 0
-        self.coalesced_total = 0
-        self.completed_total = 0
 
     # -- admission -----------------------------------------------------------
 
@@ -137,9 +133,7 @@ class Scheduler:
                 task = PointTask(key, point, next(self._seq), loop)
                 self._inflight[key] = task
                 heapq.heappush(self._heap, (-priority, task.seq, task))
-                self.enqueued_total += 1
             tasks[key] = task
-        self.coalesced_total += coalesced
         if tasks:
             self._wakeup.set()
         return tasks, coalesced
@@ -180,7 +174,6 @@ class Scheduler:
         """Resolve a task's future and retire it from the in-flight
         table (event-loop thread only)."""
         self._inflight.pop(task.key, None)
-        self.completed_total += 1
         if task.future.done():  # cancelled while running
             return
         if error is not None:
@@ -200,7 +193,3 @@ class Scheduler:
         backlog runs dry."""
         self._closed = True
         self._wakeup.set()
-
-    @property
-    def closed(self) -> bool:
-        return self._closed

@@ -8,10 +8,10 @@ import pytest
 
 from repro.common.config import scaled_config
 from repro.harness.executor import Executor, RunPoint, default_jobs
-from repro.harness.runcache import (RunCache, cache_key, env_int,
-                                    payload_to_result, result_to_payload)
+from repro.harness.runcache import RunCache, cache_key, env_int
 from repro.harness.runcache import main as cache_main
 from repro.harness.runner import ExperimentRunner, RunSettings
+from repro.sim.results import SimResult
 
 QUICK = RunSettings(capacity_factor=8, refs_per_core=400,
                     warmup_refs_per_core=100, num_seeds=2)
@@ -121,13 +121,13 @@ class TestPersistentCache:
 
     def test_payload_round_trip(self, tmp_path):
         result = make_runner(None, 1).run_one("shared", "apache", 3)
-        assert payload_to_result(result_to_payload(result)) == result
+        assert SimResult.from_dict(result.to_dict()) == result
 
     def test_stale_payload_is_a_miss(self):
         result = make_runner(None, 1).run_one("shared", "apache", 3)
-        payload = result_to_payload(result)
+        payload = result.to_dict()
         payload.pop("cycles")  # field set no longer matches SimResult
-        assert payload_to_result(payload) is None
+        assert SimResult.from_dict(payload) is None
 
     def test_disabled_cache_never_touches_disk(self, tmp_path):
         cache_dir = tmp_path / "never"

@@ -9,10 +9,10 @@ Pins the tentpole contract of the process-based execution substrate:
   **exactly once** — a second crash fails the job with
   :class:`WorkerCrashError` instead of retrying forever; deterministic
   runner exceptions are never requeued;
-* the shard map reproduces the historical ``key[:2]`` directory layout
-  at the default shard count (no silent cache invalidation), validates
-  its knobs, and the read-through :class:`ShardIndex` lets one process
-  discover entries another process committed;
+* the cache layout is the historical ``key[:2]`` directory layout (no
+  silent cache invalidation), and a worker's read-through ``get``
+  finds entries another process committed without listing a
+  directory;
 * two processes writing the same key concurrently never produce torn
   reads or leftover ``.tmp.<pid>`` files (satellite: concurrent cache
   writers).
@@ -34,10 +34,7 @@ from repro.harness.executor import Executor, RunPoint, simulate_point
 from repro.harness.fabric import (RemoteJobError, WorkerCrashError,
                                   WorkerPool, default_workers, mp_context,
                                   run_point_batch)
-from repro.harness.runcache import (DEFAULT_SHARDS, MAX_SHARDS, RunCache,
-                                    cache_generation, cache_key,
-                                    default_shards, shard_chars, shard_name,
-                                    shard_of)
+from repro.harness.runcache import RunCache, cache_generation
 from repro.harness.runner import ExperimentRunner, RunSettings
 from repro.obs import trace as obs
 
@@ -306,56 +303,11 @@ def _fake_key(n):
 
 class TestShardMap:
     def test_default_layout_matches_historical_key_prefix(self):
-        cache = RunCache(root="unused", shards=DEFAULT_SHARDS)
+        cache = RunCache(root="unused")
         for n in range(64):
             key = _fake_key(n)
-            assert cache.shard_dir(key) == key[:2]
-
-    def test_shard_function_is_stable_and_in_range(self):
-        for shards in (1, 2, 16, 256, 4096, MAX_SHARDS):
-            seen = set()
-            for n in range(128):
-                idx = shard_of(_fake_key(n), shards)
-                assert 0 <= idx < shards
-                seen.add(idx)
-                name = shard_name(idx, shards)
-                assert len(name) == shard_chars(shards)
-                assert int(name, 16) == idx
-            if shards > 1:
-                assert len(seen) > 1  # keys actually spread
-
-    def test_shard_chars_never_below_two(self):
-        assert shard_chars(1) == 2
-        assert shard_chars(16) == 2
-        assert shard_chars(256) == 2
-        assert shard_chars(257) == 3
-        assert shard_chars(4096) == 3
-
-    def test_custom_shard_count_round_trips(self, tmp_path):
-        cache = RunCache(root=str(tmp_path), shards=16)
-        result = _quick_result(cache)
-        key = _fake_key(1)
-        cache.put(key, result)
-        assert cache.get(key) == result
-        shard = cache.shard_dir(key)
-        assert len(shard) == 2
-        assert os.path.isfile(os.path.join(
-            str(tmp_path), cache_generation(), shard, f"{key}.json"))
-
-    def test_invalid_shard_counts_rejected(self, tmp_path, monkeypatch):
-        with pytest.raises(ValueError, match="shards"):
-            RunCache(root=str(tmp_path), shards=0)
-        with pytest.raises(ValueError, match="shards"):
-            RunCache(root=str(tmp_path), shards=MAX_SHARDS + 1)
-        monkeypatch.setenv("REPRO_CACHE_SHARDS", "lots")
-        with pytest.raises(ValueError, match="REPRO_CACHE_SHARDS.*integer"):
-            default_shards()
-        monkeypatch.setenv("REPRO_CACHE_SHARDS", "0")
-        with pytest.raises(ValueError, match="REPRO_CACHE_SHARDS.*>= 1"):
-            default_shards()
-        monkeypatch.setenv("REPRO_CACHE_SHARDS", str(MAX_SHARDS + 1))
-        with pytest.raises(ValueError, match="REPRO_CACHE_SHARDS"):
-            default_shards()
+            assert cache.entry_path(key) == os.path.join(
+                "unused", cache_generation(), key[:2], f"{key}.json")
 
     def test_stats_report_shard_map(self, tmp_path):
         cache = RunCache(root=str(tmp_path))
@@ -363,18 +315,16 @@ class TestShardMap:
         for n in range(4):
             cache.put(_fake_key(n), result)
         stats = cache.stats()
-        assert stats["shards"]["configured"] == DEFAULT_SHARDS
-        populated = cache.shard_stats()
+        populated = cache.shard_usage()
         assert stats["shards"]["populated"] == len(populated)
-        assert sum(populated.values()) == 4
+        assert sum(count for count, _ in populated.values()) == 4
         hottest = stats["shards"]["hottest"]
-        assert populated[hottest["shard"]] == hottest["entries"]
+        assert populated[hottest["shard"]][0] == hottest["entries"]
 
     def test_spec_round_trip(self, tmp_path):
-        cache = RunCache(root=str(tmp_path), shards=32)
+        cache = RunCache(root=str(tmp_path))
         rebuilt = RunCache.from_spec(cache.spec())
         assert rebuilt.root == cache.root
-        assert rebuilt.shards == 32
         disabled = RunCache(enabled=False)
         assert disabled.spec() is None
         assert RunCache.from_spec(None).enabled is False
@@ -394,34 +344,38 @@ def _quick_result(cache_for_key=None):
     return _RESULT_MEMO["r"]
 
 
+def _no_listing(*_args, **_kwargs):
+    raise AssertionError("a cache lookup listed a directory")
+
+
 class TestReadThroughIndex:
     def test_cross_instance_discovery(self, tmp_path):
         """A second cache instance (stand-in for a second process — the
-        index is filesystem-backed) sees keys the first committed."""
+        layout is a pure function of the key) reads what the first
+        committed."""
         writer = RunCache(root=str(tmp_path))
         reader = RunCache(root=str(tmp_path))
         key = _fake_key(3)
-        assert reader.probably_has(key) is False
+        assert reader.get(key) is None
         writer.put(key, _quick_result())
-        assert reader.probably_has(key) is True
         assert reader.get(key) == _quick_result()
+        assert (reader.hits, reader.misses) == (1, 1)
 
-    def test_own_writes_visible_without_rescan(self, tmp_path):
+    def test_own_writes_visible_without_rescan(self, tmp_path, monkeypatch):
         cache = RunCache(root=str(tmp_path))
         key = _fake_key(4)
-        assert cache.probably_has(key) is False  # primes the scan
+        monkeypatch.setattr(os, "scandir", _no_listing)
+        monkeypatch.setattr(os, "listdir", _no_listing)
+        assert cache.get(key) is None
         cache.put(key, _quick_result())
-        assert cache.probably_has(key) is True
-
-    def test_disabled_cache_never_probably_has(self, tmp_path):
-        cache = RunCache(root=str(tmp_path), enabled=False)
-        assert cache.probably_has(_fake_key(5)) is False
+        assert cache.get(key) == _quick_result()
 
     def test_worker_batch_serves_from_cache_instead_of_simulating(
-            self, tmp_path):
+            self, tmp_path, monkeypatch):
         """Cross-process coalescing: run_point_batch (the worker entry)
         answers a committed key from disk. The point's workload does not
-        exist, so any attempt to actually simulate would raise."""
+        exist, so any attempt to actually simulate would raise; and the
+        lookup is a stat of the entry's path, never a directory listing."""
         cache = RunCache(root=str(tmp_path))
         poisoned = RunPoint(name="shared", workload="no-such-workload",
                             seed=1, config=scaled_config(8), settings=QUICK,
@@ -430,6 +384,8 @@ class TestReadThroughIndex:
         cache.put(key, _quick_result())
         with pytest.raises(KeyError):
             simulate_point(poisoned)  # sanity: simulating would fail
+        monkeypatch.setattr(os, "scandir", _no_listing)
+        monkeypatch.setattr(os, "listdir", _no_listing)
         results = run_point_batch({"points": [(key, poisoned)],
                                    "cache": cache.spec()})
         assert results == [_quick_result()]

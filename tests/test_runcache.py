@@ -18,7 +18,7 @@ from repro.common.config import SystemConfig, scaled_config
 from repro.harness import executor, runcache
 from repro.harness.executor import RunPoint
 from repro.harness.runcache import (RunCache, cache_generation, cache_key,
-                                    format_stats, shard_name, shard_of)
+                                    format_stats)
 from repro.harness.runner import RunSettings
 from repro.sim.request import Supplier
 from repro.sim.results import SimResult
@@ -83,15 +83,9 @@ def mutate_containers(result):
     return mutated
 
 
-def oracle_shard_dir(key, shards):
-    """The shard name formula the layout has always had."""
-    return shard_name(shard_of(key, shards), shards)
-
-
-def oracle_entry_path(root, key, shards):
+def oracle_entry_path(root, key):
     """The ``os.path.join`` formula ``entry_path`` has always given."""
-    return os.path.join(root, cache_generation(),
-                        oracle_shard_dir(key, shards), f"{key}.json")
+    return os.path.join(root, cache_generation(), key[:2], f"{key}.json")
 
 
 @pytest.fixture
@@ -173,21 +167,30 @@ class TestKeys:
 class TestLayout:
     KEYS = K + ["0" * 64, "f" * 64, "00ff" + "0" * 60, "ffff" + "1" * 60]
 
-    @pytest.mark.parametrize("shards", [1, 15, 16, 256, 4096, 65536])
-    def test_paths_equal_the_join_formula(self, tmp_path, shards):
+    def test_paths_equal_the_join_formula(self, tmp_path):
         for root in (str(tmp_path / "cache"), str(tmp_path / "cache") + "/",
                      "relative-cache"):
-            cache = RunCache(root=root, shards=shards)
+            cache = RunCache(root=root)
             for key in self.KEYS:
-                assert cache.shard_dir(key) == oracle_shard_dir(key, shards)
-                assert cache.entry_path(key) == \
-                    oracle_entry_path(root, key, shards)
+                assert cache.entry_path(key) == oracle_entry_path(root, key)
+
+    def test_hand_written_entry_at_the_fixed_path_is_a_hit(self, tmp_path):
+        # Written where every earlier version of the cache put it, as
+        # ``json.dump`` of ``to_dict()``, with no help from RunCache.
+        root = str(tmp_path / "cache")
+        path = oracle_entry_path(root, K[0])
+        os.makedirs(os.path.dirname(path))
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(make_result(1).to_dict(), handle)
+        cache = RunCache(root=root)
+        assert cache.get(K[0]) == make_result(1)
+        assert (cache.hits, cache.misses) == (1, 0)
 
     def test_trailing_slash_root_writes_where_it_reads(self, tmp_path):
         root = str(tmp_path / "cache") + "/"
         cache = RunCache(root=root)
         cache.put(K[0], make_result(1))
-        assert os.path.isfile(oracle_entry_path(root.rstrip("/"), K[0], 256))
+        assert os.path.isfile(oracle_entry_path(root.rstrip("/"), K[0]))
         assert RunCache(root=root.rstrip("/")).get(K[0]) == make_result(1)
 
 

@@ -720,12 +720,15 @@ class TestBackpressure:
                                   settings=SETTINGS_WIRE)
                     client.submit(["shared"], ["apache"], seeds=[3],
                                   settings=SETTINGS_WIRE)
+                    points = client.status()["points"]
                     with pytest.raises(GatewayError) as exc:
                         client.submit(["shared"], ["apache"], seeds=[4],
                                       settings=SETTINGS_WIRE)
                     assert (exc.value.status, exc.value.code) == \
                         (503, "queue-full")
                     assert exc.value.retry_after >= 1
+                    # A rejected job's points are not counted.
+                    assert client.status()["points"] == points
                     # The rejected job left no stored row behind (it
                     # must never be "recovered" after a restart).
                     assert len(client.jobs()) == 3
